@@ -58,11 +58,11 @@ struct BenchParams {
   /// Continuous-batching sweep: concurrent-session counts compared
   /// batched-vs-unbatched (ISSUE 3 records 1/4/8).
   std::vector<std::size_t> batched_session_sweep = {1, 4, 8};
-  /// One InferBatch serializes its whole batch before the last chunk in it
-  /// completes, so on a core-bound box max_batch bounds the per-chunk p99
-  /// at roughly max_batch * chunk-compute. 3 keeps a full batch's compute
-  /// inside the 300 ms deadline with ~25% margin at ~70 ms/chunk while
-  /// still amortizing dispatch across sessions.
+  /// One batched forward serializes its whole batch before the last chunk
+  /// in it completes, so on a core-bound box max_batch bounds the
+  /// per-chunk p99 at roughly max_batch * chunk-compute. 3 keeps a full
+  /// batch's compute inside the 300 ms deadline with ~25% margin at
+  /// ~70 ms/chunk while still amortizing dispatch across sessions.
   std::size_t batched_max_batch = 3;
 
   static BenchParams Get() {
@@ -247,7 +247,8 @@ SequentialResult RunSequential(const Workload& w) {
 /// Per-chunk heap allocations of one hot-path arm, measured with the
 /// alloc_hook counters: warm up `warmup` chunks (buffers grow to
 /// steady-state size), then count operator-new calls across `measured`
-/// more. `per_chunk` runs one prepared chunk through the arm under test.
+/// more. `per_chunk` runs one prepared chunk through the arm under test
+/// (through every session of a batch arm: `chunks_per_call` chunks).
 /// Single-threaded by construction — runs before any SessionManager
 /// exists, so the relaxed counter is exact.
 struct AllocArm {
@@ -261,7 +262,8 @@ struct AllocArm {
 
 template <typename PerChunk>
 AllocArm MeasureAllocArm(const std::vector<audio::Waveform>& chunks,
-                         std::size_t warmup, PerChunk&& per_chunk) {
+                         std::size_t warmup, std::size_t chunks_per_call,
+                         PerChunk&& per_chunk) {
   AllocArm arm;
   for (std::size_t c = 0; c < warmup && c < chunks.size(); ++c) {
     per_chunk(chunks[c]);
@@ -269,7 +271,7 @@ AllocArm MeasureAllocArm(const std::vector<audio::Waveform>& chunks,
   const std::uint64_t before = AllocCount();
   for (std::size_t c = warmup; c < chunks.size(); ++c) {
     per_chunk(chunks[c]);
-    ++arm.chunks;
+    arm.chunks += chunks_per_call;
   }
   arm.total = AllocCount() - before;
   return arm;
@@ -308,23 +310,32 @@ int main() {
               sequential.chunks_per_sec, sequential.avg_selector_ms,
               sequential.avg_broadcast_ms);
 
-  // ---- Steady-state allocation audit (ISSUE 8). Two arms over identical
-  // chunks on one thread, counted via the linked alloc_hook operator-new
-  // replacements:
-  //   before — the legacy value-returning chunk path (PopChunk →
-  //            GenerateShadow → CompleteShadowChunk), which allocates its
-  //            spectrogram, selector tensors, FIR taps, and result
-  //            waveforms per chunk;
-  //   after  — the Into/arena path the runtime strands actually run
-  //            (PopChunkInto → ProcessChunkInto), which must perform ZERO
-  //            heap allocations per chunk once warm. Asserted below; the
-  //            bench exits nonzero on any steady-state allocation.
+  // ---- Steady-state allocation audit. Both arms of the one shadow path
+  // run over identical chunks on one thread, counted via the linked
+  // alloc_hook operator-new replacements, and must perform ZERO heap
+  // allocations per chunk once warm (the bench exits nonzero otherwise):
+  //   single  — the per-chunk path the unbatched runtime strands run
+  //             (PopChunkInto → ProcessChunkInto);
+  //   batched — what a batching dispatcher runs per batch of
+  //             kAuditBatch sessions: GenerateShadowBatchInto over the
+  //             dispatcher's per-item scratch slots and arena, then
+  //             CompleteShadowChunkInto per session.
+  // Enrollment of the audited pipelines is counted too: it allocates, so a
+  // nonzero count there proves the counting hook is engaged.
   bool alloc_ok = true;
   {
     constexpr std::size_t kWarmupChunks = 2;
     constexpr std::size_t kMeasuredChunks = 4;
-    nec::core::NecPipeline pipeline(w.selector, w.encoder, {});
-    pipeline.Enroll(w.references[0]);
+    constexpr std::size_t kAuditBatch = 4;  // the replay workload's max_batch
+
+    const std::uint64_t setup_before = AllocCount();
+    std::vector<std::unique_ptr<nec::core::NecPipeline>> pipelines;
+    for (std::size_t b = 0; b < kAuditBatch; ++b) {
+      pipelines.push_back(std::make_unique<nec::core::NecPipeline>(
+          w.selector, w.encoder, nec::core::PipelineOptions{}));
+      pipelines.back()->Enroll(w.references[b % w.references.size()]);
+    }
+    const std::uint64_t setup_allocs = AllocCount() - setup_before;
 
     // Pre-slice the chunk sequence (wrapping over the stream) OUTSIDE the
     // counted window so feeding costs nothing.
@@ -338,21 +349,11 @@ int main() {
                                           chunk_n));
     }
 
-    nec::core::StreamingProcessor legacy(pipeline, kChunkSeconds,
-                                    nec::core::SelectorKind::kNeural);
-    const AllocArm before_arm = MeasureAllocArm(
-        chunks, kWarmupChunks, [&](const nec::audio::Waveform& chunk) {
-          nec::audio::Waveform shadow = pipeline.GenerateShadow(
-              chunk, nec::core::SelectorKind::kNeural,
-              &legacy.stft_workspace());
-          legacy.CompleteShadowChunk(std::move(shadow), 0.0);
-        });
-
-    nec::core::StreamingProcessor proc(pipeline, kChunkSeconds,
-                                  nec::core::SelectorKind::kNeural);
+    nec::core::StreamingProcessor proc(*pipelines[0], kChunkSeconds,
+                                       nec::core::SelectorKind::kNeural);
     nec::audio::Waveform chunk_buf, mod_buf;
-    const AllocArm after_arm = MeasureAllocArm(
-        chunks, kWarmupChunks, [&](const nec::audio::Waveform& chunk) {
+    const AllocArm single_arm = MeasureAllocArm(
+        chunks, kWarmupChunks, 1, [&](const nec::audio::Waveform& chunk) {
           proc.BufferSamples(chunk.samples());
           while (proc.HasFullChunk()) {
             proc.PopChunkInto(chunk_buf);
@@ -360,29 +361,61 @@ int main() {
           }
         });
 
-    alloc_ok = after_arm.total == 0;
+    std::vector<std::unique_ptr<nec::core::StreamingProcessor>> procs;
+    std::vector<nec::audio::Waveform> batch_chunks(kAuditBatch),
+        shadows(kAuditBatch), outs(kAuditBatch);
+    std::vector<nec::core::ShadowScratch> slots(kAuditBatch);
+    std::vector<nec::core::ShadowBatchRequest> requests(kAuditBatch);
+    for (std::size_t b = 0; b < kAuditBatch; ++b) {
+      procs.push_back(std::make_unique<nec::core::StreamingProcessor>(
+          *pipelines[b], kChunkSeconds, nec::core::SelectorKind::kNeural));
+      requests[b] = {.pipeline = pipelines[b].get(),
+                     .mixed = &batch_chunks[b],
+                     .scratch = &slots[b],
+                     .out = &shadows[b]};
+    }
+    nec::core::Arena dispatcher_arena;
+    const AllocArm batched_arm = MeasureAllocArm(
+        chunks, kWarmupChunks, kAuditBatch,
+        [&](const nec::audio::Waveform& chunk) {
+          for (std::size_t b = 0; b < kAuditBatch; ++b) {
+            procs[b]->BufferSamples(chunk.samples());
+            procs[b]->PopChunkInto(batch_chunks[b]);
+          }
+          nec::core::GenerateShadowBatchInto(requests, dispatcher_arena);
+          for (std::size_t b = 0; b < kAuditBatch; ++b) {
+            procs[b]->CompleteShadowChunkInto(shadows[b], 0.0, outs[b]);
+          }
+        });
+
+    alloc_ok = single_arm.total == 0 && batched_arm.total == 0;
     std::printf("\nsteady-state allocations per chunk (%zu warmup + %zu "
-                "measured):\n  legacy value path: %8.1f  (%llu total)\n"
-                "  arena/Into path:   %8.1f  (%llu total)  %s\n",
-                kWarmupChunks, kMeasuredChunks, before_arm.per_chunk(),
-                static_cast<unsigned long long>(before_arm.total),
-                after_arm.per_chunk(),
-                static_cast<unsigned long long>(after_arm.total),
+                "measured; enrollment: %llu allocs):\n"
+                "  single-chunk path:       %6.1f  (%llu total)\n"
+                "  batched path (batch %zu):  %6.1f  (%llu total)  %s\n",
+                kWarmupChunks, kMeasuredChunks,
+                static_cast<unsigned long long>(setup_allocs),
+                single_arm.per_chunk(),
+                static_cast<unsigned long long>(single_arm.total),
+                kAuditBatch, batched_arm.per_chunk(),
+                static_cast<unsigned long long>(batched_arm.total),
                 alloc_ok ? "[OK: zero-alloc]" : "[FAIL: expected 0]");
 
     JsonWriter ajson;
     ajson.Field("warmup_chunks", static_cast<double>(kWarmupChunks))
-        .Field("measured_chunks", static_cast<double>(after_arm.chunks))
-        .Field("smoke", BenchSmokeMode());
-    ajson.BeginObject("before")
-        .Field("path", "legacy value-returning chunk path")
-        .Field("total_allocs", static_cast<double>(before_arm.total))
-        .Field("allocs_per_chunk", before_arm.per_chunk())
+        .Field("measured_chunks", static_cast<double>(single_arm.chunks))
+        .Field("smoke", BenchSmokeMode())
+        .Field("setup_allocs", static_cast<double>(setup_allocs));
+    ajson.BeginObject("single")
+        .Field("path", "per-chunk Into/arena path (unbatched strands)")
+        .Field("total_allocs", static_cast<double>(single_arm.total))
+        .Field("allocs_per_chunk", single_arm.per_chunk())
         .EndObject();
-    ajson.BeginObject("after")
-        .Field("path", "Into/arena chunk path (runtime strands)")
-        .Field("total_allocs", static_cast<double>(after_arm.total))
-        .Field("allocs_per_chunk", after_arm.per_chunk())
+    ajson.BeginObject("batched")
+        .Field("path", "GenerateShadowBatchInto + CompleteShadowChunkInto")
+        .Field("max_batch", static_cast<double>(kAuditBatch))
+        .Field("total_allocs", static_cast<double>(batched_arm.total))
+        .Field("allocs_per_chunk", batched_arm.per_chunk())
         .EndObject();
     ajson.Field("zero_alloc_steady_state", alloc_ok);
     WriteJsonSection(BenchJsonPath(), "alloc", ajson.Finish());

@@ -11,18 +11,15 @@
 // CPU scale factor (documented in EXPERIMENTS.md).
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <memory>
-#include <thread>
 
 #include "baselines/voicefilter.h"
 #include "bench_json.h"
 #include "bench_support.h"
 #include "channel/modulation.h"
 #include "dsp/stft.h"
-#include "runtime/gemm_parallel.h"
 
 namespace {
 
@@ -119,21 +116,6 @@ void PrintSummary() {
              reps);
   const double bc = TimeMs([&] { channel::ModulateAm(w.chunk, {}); }, reps);
 
-  // The opt-in row-panel parallel GEMM path, on a pool dedicated to GEMM
-  // (deployment keeps per-session inference serial; this row shows what a
-  // single session could buy on a multi-core box).
-  const unsigned cores = std::max(1u, std::thread::hardware_concurrency());
-  double nec_par = 0.0;
-  {
-    runtime::ThreadPool pool({.workers = cores, .queue_capacity = 64});
-    runtime::InstallGemmParallelFor(pool);
-    nn::GemmParallelScope scope;
-    nec_par =
-        TimeMs([&] { w.selector->Forward(w.spec_tensor, w.dvector, false); },
-               reps);
-  }
-  runtime::UninstallGemmParallelFor();
-
   // Single-core laptop → Raspberry Pi 4 scale factor (~6x for NEON-less
   // float workloads; see EXPERIMENTS.md).
   const double kPiScale = 6.0;
@@ -163,10 +145,6 @@ void PrintSummary() {
   bench::PrintRule();
   std::printf("VoiceFilter / NEC selector ratio: measured %.2fx "
               "(paper: 2.42x PC, 1.52x Pi)\n", vf / nec);
-  std::printf("NEC selector with parallel GEMM (%u threads): %.2f ms "
-              "(serial %.2f ms)%s\n", cores, nec_par, nec,
-              cores < 2 ? " — single-core machine, row is overhead-only"
-                        : "");
   const double total = enc + nec + bc;
   std::printf("NEC end-to-end latency: %.1f ms per 1 s chunk — %s the "
               "300 ms overshadowing tolerance (deployable per §IV-C2)\n",
@@ -175,8 +153,6 @@ void PrintSummary() {
   nec::bench::JsonWriter json;
   json.Field("encoder_ms", enc)
       .Field("selector_nec_ms", nec)
-      .Field("selector_nec_parallel_ms", nec_par)
-      .Field("gemm_parallel_threads", static_cast<double>(cores))
       .Field("selector_voicefilter_ms", vf)
       .Field("broadcast_ms", bc)
       .Field("total_ms", total)

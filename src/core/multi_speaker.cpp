@@ -37,15 +37,15 @@ audio::Waveform MultiSpeakerProtector::GenerateShadow(
     if (norm > 1e-12) {
       for (float& v : merged) v = static_cast<float>(v / norm);
     }
-    total_shadow = pipeline_.selector().ComputeShadow(spec, merged);
+    pipeline_.selector().ComputeShadowInto(spec, merged, total_shadow);
   } else {
     // Iterative residual: each pass cancels one target from what the
     // previous passes left standing.
     dsp::Spectrogram residual = spec;
     total_shadow.assign(spec.mag().size(), 0.0f);
+    std::vector<float> shadow;
     for (const auto& d : dvectors_) {
-      const std::vector<float> shadow =
-          pipeline_.selector().ComputeShadow(residual, d);
+      pipeline_.selector().ComputeShadowInto(residual, d, shadow);
       for (std::size_t i = 0; i < shadow.size(); ++i) {
         total_shadow[i] += shadow[i];
         residual.mag()[i] =

@@ -56,39 +56,16 @@ const std::vector<float>& NecPipeline::dvector() const {
   return *dvector_;
 }
 
-audio::Waveform NecPipeline::GenerateShadow(const audio::Waveform& mixed,
-                                            SelectorKind kind,
-                                            dsp::StftWorkspace* ws) const {
-  NEC_CHECK_MSG(dvector_.has_value(), "enroll a target before GenerateShadow");
-  NEC_CHECK_MSG(mixed.sample_rate() == config().sample_rate,
-                "monitor audio must be at " << config().sample_rate
-                                            << " Hz");
-  NEC_TRACE_SPAN("pipeline.generate_shadow");
-  dsp::StftWorkspace local_ws;
-  dsp::StftWorkspace& w = ws != nullptr ? *ws : local_ws;
-  dsp::Spectrogram spec;
-  {
-    NEC_TRACE_SPAN("dsp.stft");
-    spec = dsp::Stft(mixed, config().stft, w);
-  }
-  std::vector<float> shadow_mag;
-  {
-    NEC_TRACE_SPAN(kind == SelectorKind::kNeural ? "selector.forward"
-                                                 : "selector.las");
-    shadow_mag = kind == SelectorKind::kNeural
-                     ? selector_->ComputeShadow(spec, *dvector_)
-                     : las_selector_.ComputeShadow(spec);
-  }
-  CheckShadowFinite(shadow_mag, "GenerateShadow selector");
-  NEC_TRACE_SPAN("dsp.istft");
-  return dsp::IstftWithPhase(shadow_mag, spec, config().stft,
-                             config().sample_rate, mixed.size(), w);
-}
-
 void NecPipeline::GenerateShadowInto(const audio::Waveform& mixed,
                                      SelectorKind kind,
                                      ShadowScratch& scratch,
                                      audio::Waveform& out) const {
+  if (kind == SelectorKind::kNeural) {
+    const ShadowBatchRequest request{
+        .pipeline = this, .mixed = &mixed, .scratch = &scratch, .out = &out};
+    GenerateShadowBatchInto({&request, 1}, scratch.arena);
+    return;
+  }
   NEC_CHECK_MSG(dvector_.has_value(), "enroll a target before GenerateShadow");
   NEC_CHECK_MSG(mixed.sample_rate() == config().sample_rate,
                 "monitor audio must be at " << config().sample_rate
@@ -99,19 +76,8 @@ void NecPipeline::GenerateShadowInto(const audio::Waveform& mixed,
     dsp::Stft(mixed, config().stft, scratch.stft, scratch.spec);
   }
   {
-    NEC_TRACE_SPAN(kind == SelectorKind::kNeural ? "selector.forward"
-                                                 : "selector.las");
-    if (kind == SelectorKind::kNeural) {
-      // All selector intermediates (input tensor, conv activations, the
-      // shadow tensor) bump-allocate from the scratch arena and are
-      // reclaimed wholesale when the scope closes; the result escapes into
-      // scratch.shadow_mag (caller-owned heap capacity, reused per chunk).
-      ArenaScope arena_scope(scratch.arena);
-      selector_->ComputeShadowInto(scratch.spec, *dvector_,
-                                   scratch.shadow_mag);
-    } else {
-      las_selector_.ComputeShadowInto(scratch.spec, scratch.shadow_mag);
-    }
+    NEC_TRACE_SPAN("selector.las");
+    las_selector_.ComputeShadowInto(scratch.spec, scratch.shadow_mag);
   }
   CheckShadowFinite(scratch.shadow_mag, "GenerateShadow selector");
   NEC_TRACE_SPAN("dsp.istft");
@@ -120,74 +86,67 @@ void NecPipeline::GenerateShadowInto(const audio::Waveform& mixed,
                           out);
 }
 
-audio::Waveform NecPipeline::GenerateModulatedShadow(
-    const audio::Waveform& mixed, SelectorKind kind) const {
-  return channel::ModulateAm(GenerateShadow(mixed, kind),
-                             options_.modulation);
+audio::Waveform NecPipeline::GenerateShadow(const audio::Waveform& mixed,
+                                            SelectorKind kind) const {
+  ShadowScratch scratch;
+  audio::Waveform out;
+  GenerateShadowInto(mixed, kind, scratch, out);
+  return out;
 }
 
-std::vector<audio::Waveform> GenerateShadowBatch(
-    std::span<const ShadowBatchRequest> requests) {
+void GenerateShadowBatchInto(std::span<const ShadowBatchRequest> requests,
+                             Arena& arena) {
   const std::size_t B = requests.size();
-  NEC_CHECK_MSG(B >= 1, "GenerateShadowBatch on an empty batch");
+  NEC_CHECK_MSG(B >= 1, "GenerateShadowBatchInto on an empty batch");
   const NecPipeline* first = requests[0].pipeline;
   NEC_CHECK(first != nullptr && requests[0].mixed != nullptr);
-  const Selector* shared = &first->selector();
+  const Selector& shared = first->selector();
+  const NecConfig& config = first->config();
   const std::size_t chunk_len = requests[0].mixed->size();
 
-  NEC_TRACE_SPAN_ARG("pipeline.generate_shadow_batch", B);
-  std::vector<dsp::StftWorkspace> local_ws;
-  local_ws.reserve(B);  // keep pointers stable for items without a ws
-  std::vector<dsp::Spectrogram> specs;
-  specs.reserve(B);
-  std::vector<const dsp::Spectrogram*> spec_ptrs(B);
-  std::vector<const std::vector<float>*> dvectors(B);
-
+  NEC_TRACE_SPAN_ARG("pipeline.generate_shadow", B);
+  // Everything below that is not an item's own scratch — the selector's
+  // tensors and the per-item pointer arrays — is rewound on return.
+  ArenaScope arena_scope(arena);
+  const auto** specs = arena.AllocateArray<const dsp::Spectrogram*>(B);
+  const auto** dvectors = arena.AllocateArray<const std::vector<float>*>(B);
+  auto** shadow_mags = arena.AllocateArray<std::vector<float>*>(B);
   for (std::size_t b = 0; b < B; ++b) {
     const ShadowBatchRequest& req = requests[b];
-    NEC_CHECK_MSG(req.pipeline != nullptr && req.mixed != nullptr,
-                  "GenerateShadowBatch: null item " << b);
-    NEC_CHECK_MSG(&req.pipeline->selector() == shared,
-                  "GenerateShadowBatch items must share one selector");
+    NEC_CHECK_MSG(req.pipeline != nullptr && req.mixed != nullptr &&
+                      req.scratch != nullptr && req.out != nullptr,
+                  "GenerateShadowBatchInto: null item " << b);
+    NEC_CHECK_MSG(&req.pipeline->selector() == &shared,
+                  "GenerateShadowBatchInto items must share one selector");
     NEC_CHECK_MSG(req.pipeline->enrolled(),
-                  "enroll a target before GenerateShadowBatch");
+                  "enroll a target before GenerateShadow");
     NEC_CHECK_MSG(req.mixed->size() == chunk_len,
-                  "GenerateShadowBatch chunks must be same-length");
-    NEC_CHECK_MSG(
-        req.mixed->sample_rate() == first->config().sample_rate,
-        "monitor audio must be at " << first->config().sample_rate
-                                    << " Hz");
-    dsp::StftWorkspace& w =
-        req.ws != nullptr ? *req.ws : local_ws.emplace_back();
+                  "GenerateShadowBatchInto chunks must be same-length");
+    NEC_CHECK_MSG(req.mixed->sample_rate() == config.sample_rate,
+                  "monitor audio must be at " << config.sample_rate << " Hz");
     {
       NEC_TRACE_SPAN("dsp.stft");
-      specs.push_back(dsp::Stft(*req.mixed, first->config().stft, w));
+      dsp::Stft(*req.mixed, config.stft, req.scratch->stft,
+                req.scratch->spec);
     }
+    specs[b] = &req.scratch->spec;
     dvectors[b] = &req.pipeline->dvector();
+    shadow_mags[b] = &req.scratch->shadow_mag;
   }
-  for (std::size_t b = 0; b < B; ++b) spec_ptrs[b] = &specs[b];
-
-  std::vector<std::vector<float>> shadow_mags;
   {
-    NEC_TRACE_SPAN_ARG("selector.forward_batch", B);
-    shadow_mags = shared->ComputeShadowBatch(spec_ptrs, dvectors);
+    NEC_TRACE_SPAN_ARG("selector.forward", B);
+    shared.ComputeShadowBatchInto({specs, B}, {dvectors, B},
+                                  {shadow_mags, B});
   }
-  for (const auto& mags : shadow_mags) {
-    CheckShadowFinite(mags, "GenerateShadowBatch selector");
-  }
-
-  std::vector<audio::Waveform> shadows;
-  shadows.reserve(B);
   for (std::size_t b = 0; b < B; ++b) {
-    const ShadowBatchRequest& req = requests[b];
-    dsp::StftWorkspace local;
-    dsp::StftWorkspace& w = req.ws != nullptr ? *req.ws : local;
-    NEC_TRACE_SPAN("dsp.istft");
-    shadows.push_back(dsp::IstftWithPhase(
-        shadow_mags[b], specs[b], first->config().stft,
-        first->config().sample_rate, chunk_len, w));
+    CheckShadowFinite(*shadow_mags[b], "GenerateShadow selector");
   }
-  return shadows;
+  for (const ShadowBatchRequest& req : requests) {
+    NEC_TRACE_SPAN("dsp.istft");
+    dsp::IstftWithPhaseInto(req.scratch->shadow_mag, req.scratch->spec,
+                            config.stft, config.sample_rate, chunk_len,
+                            req.scratch->stft, *req.out);
+  }
 }
 
 audio::Waveform NecPipeline::OracleShadow(

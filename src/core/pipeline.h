@@ -22,14 +22,15 @@ struct PipelineOptions {
   channel::ModulationConfig modulation;  ///< carrier f_c, alpha, air rate
 };
 
-/// Per-session scratch for the per-chunk shadow hot path (DESIGN.md §5i).
-/// Owns everything GenerateShadowInto reuses across chunks: the STFT/ISTFT
+/// Per-chunk scratch for the shadow hot path (DESIGN.md §5i). Owns
+/// everything GenerateShadowInto reuses across chunks: the STFT/ISTFT
 /// workspace, the chunk spectrogram, the shadow magnitude surface, and the
 /// bump arena the selector's intermediate tensors live in (rewound at every
-/// chunk boundary by the ArenaScope inside GenerateShadowInto). After the
-/// first chunk of a stream every buffer is at steady-state size, so the
-/// per-chunk path performs zero heap allocations. Single-threaded: each
-/// streaming session / runtime strand owns one.
+/// chunk boundary). A batch (GenerateShadowBatchInto) uses one scratch per
+/// item for the first three and one arena for the whole batch. After the
+/// first chunk every buffer is at steady-state size, so the per-chunk path
+/// performs zero heap allocations. Single-threaded: each streaming session
+/// / runtime strand, and each slot of a batching dispatcher, owns one.
 struct ShadowScratch {
   dsp::StftWorkspace stft;
   dsp::Spectrogram spec;
@@ -50,8 +51,8 @@ class NecPipeline {
 
   /// Shares an immutable trained selector with other pipelines. This is the
   /// nec::runtime path: every concurrent session holds the same weight set
-  /// (inference is const — see Selector::Infer); only enrollment state and
-  /// the LAS ablation profile are per-pipeline.
+  /// (inference is const — see Selector::ComputeShadowInto); only
+  /// enrollment state and the LAS ablation profile are per-pipeline.
   NecPipeline(std::shared_ptr<const Selector> selector,
               std::shared_ptr<const encoder::SpeakerEncoder> encoder,
               PipelineOptions options = {});
@@ -63,33 +64,21 @@ class NecPipeline {
 
   /// Generates the baseband shadow waveform for a monitored mixed clip:
   /// STFT → selector → signed shadow magnitudes → inverse STFT with the
-  /// mixed signal's phase (§IV-C1). The returned wave has the property
-  /// x_mixed + x_shadow ≈ x_background at the monitor's scale. Const:
-  /// concurrent callers are safe once enrollment has happened.
-  ///
-  /// `ws` (optional) reuses STFT/ISTFT scratch between calls — the
-  /// streaming hot path passes a per-session workspace so shadow
-  /// generation stops allocating per frame. A workspace must not be shared
-  /// across threads.
-  audio::Waveform GenerateShadow(const audio::Waveform& mixed,
-                                 SelectorKind kind = SelectorKind::kNeural,
-                                 dsp::StftWorkspace* ws = nullptr) const;
-
-  /// Zero-allocation twin of GenerateShadow: every intermediate lives in
-  /// `scratch` (spectrogram, shadow surface, selector tensors via the
-  /// scratch arena) and the result is written into `out` in place.
-  /// Bit-identical to GenerateShadow — arena-backed tensors zero-fill
-  /// exactly like heap-backed ones, and the dsp Into-variants are the
-  /// implementations behind the value-returning forms. With a warm scratch
+  /// mixed signal's phase (§IV-C1). Every intermediate lives in `scratch`
+  /// (spectrogram, shadow surface, selector tensors via the scratch arena)
+  /// and the result is written into `out` in place. With a warm scratch
   /// (one chunk of this shape already seen) the call performs no heap
   /// allocation; bench_runtime_throughput asserts this at 0 mallocs/chunk.
+  /// The result has the property x_mixed + x_shadow ≈ x_background at the
+  /// monitor's scale. Const: concurrent callers are safe once enrollment
+  /// has happened, each with its own scratch. The neural selector runs as
+  /// GenerateShadowBatchInto at B = 1.
   void GenerateShadowInto(const audio::Waveform& mixed, SelectorKind kind,
                           ShadowScratch& scratch, audio::Waveform& out) const;
 
-  /// GenerateShadow + ultrasonic AM modulation (Broadcast module). The
-  /// result is at the air sample rate with unit peak; emitted power is a
-  /// scene parameter.
-  audio::Waveform GenerateModulatedShadow(
+  /// GenerateShadowInto with a local scratch, for offline callers that
+  /// process one clip at a time.
+  audio::Waveform GenerateShadow(
       const audio::Waveform& mixed,
       SelectorKind kind = SelectorKind::kNeural) const;
 
@@ -124,22 +113,27 @@ class NecPipeline {
   std::optional<std::vector<float>> dvector_;
 };
 
-/// One item of a batched shadow-generation call (see GenerateShadowBatch).
+/// One item of a batched shadow-generation call (see
+/// GenerateShadowBatchInto).
 struct ShadowBatchRequest {
   const NecPipeline* pipeline = nullptr;   ///< enrolled pipeline
   const audio::Waveform* mixed = nullptr;  ///< same length for every item
-  dsp::StftWorkspace* ws = nullptr;        ///< optional per-item scratch
+  ShadowScratch* scratch = nullptr;  ///< the item's STFT, spectrogram, surface
+  audio::Waveform* out = nullptr;    ///< receives the item's shadow
 };
 
-/// Batched GenerateShadow over the NEURAL selector: per-item STFT, then one
-/// Selector::ComputeShadowBatch across all items, then per-item inverse
-/// STFT. Every pipeline in the batch must share the same selector instance
-/// (shared_selector()) and every mixed chunk the same length / sample rate.
-/// Bit-identical, per item, to
-/// `req.pipeline->GenerateShadow(*req.mixed, SelectorKind::kNeural, req.ws)`
-/// — the property the runtime micro-batcher (runtime/batcher.h) relies on
-/// to coalesce sessions without changing their emitted shadows.
-std::vector<audio::Waveform> GenerateShadowBatch(
-    std::span<const ShadowBatchRequest> requests);
+/// Batched GenerateShadowInto over the NEURAL selector: per-item STFT, one
+/// batched selector forward across all items, then per-item inverse STFT.
+/// Every pipeline in the batch must share the same selector instance
+/// (shared_selector()) and every mixed chunk the same length / sample rate;
+/// no two items may share a scratch or an output. The selector's
+/// intermediates live in `arena` (rewound before returning), not in the
+/// items' scratch arenas. Bit-identical, per item, to
+/// `req.pipeline->GenerateShadow(*req.mixed)` — the property the runtime
+/// micro-batcher (runtime/batcher.h) relies on to coalesce sessions without
+/// changing their emitted shadows. With warm scratches and arena, the call
+/// performs no heap allocation.
+void GenerateShadowBatchInto(std::span<const ShadowBatchRequest> requests,
+                             Arena& arena);
 
 }  // namespace nec::core

@@ -1,6 +1,8 @@
 #include "core/selector.h"
 
 #include <cmath>
+#include <optional>
+#include <utility>
 
 #include "common/check.h"
 #include "nn/serialize.h"
@@ -9,6 +11,35 @@ namespace nec::core {
 namespace {
 
 constexpr std::size_t kDilations[] = {1, 2, 4, 8};
+
+// The stage steps around the layers, shared by Forward (training) and the
+// inference core so the two stay bit-identical by construction.
+
+// The conv features see a square-root-compressed view of the magnitudes
+// (standard for masking networks: compresses the dynamic range so formant
+// structure is not drowned by the loudest cells); the output shadow stays
+// linear, so the Eq. 5/6 superposition algebra is untouched.
+void CompressMagnitudes(const float* mag, std::size_t n, float* x) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const float v = mag[i];
+    x[i] = v > 0.0f ? std::sqrt(v) : 0.0f;
+  }
+}
+
+// (2, T, F) conv output -> (T, 2F + E): frame t = [ch0 row t, ch1 row t,
+// d-vector].
+void FuseFrames(const float* conv_out, const std::vector<float>& dvector,
+                std::size_t T, std::size_t F, float* fused) {
+  const std::size_t E = dvector.size();
+  const float* ch0 = conv_out;
+  const float* ch1 = conv_out + T * F;
+  for (std::size_t t = 0; t < T; ++t) {
+    float* row = fused + t * (2 * F + E);
+    for (std::size_t f = 0; f < F; ++f) row[f] = ch0[t * F + f];
+    for (std::size_t f = 0; f < F; ++f) row[F + f] = ch1[t * F + f];
+    for (std::size_t e = 0; e < E; ++e) row[2 * F + e] = dvector[e];
+  }
+}
 
 }  // namespace
 
@@ -49,16 +80,9 @@ nn::Tensor Selector::Forward(const nn::Tensor& mixed_mag,
   const std::size_t F = config_.num_bins();
   cached_T_ = T;
 
-  // (T, F) -> (1, T, F) for the conv stack. The conv features see a
-  // square-root-compressed view of the magnitudes (standard for masking
-  // networks: compresses the dynamic range so formant structure is not
-  // drowned by the loudest cells); the output shadow stays linear, so the
-  // Eq. 5/6 superposition algebra is untouched.
+  // (T, F) -> (1, T, F) for the conv stack.
   nn::Tensor x({1, T, F});
-  for (std::size_t i = 0; i < x.numel(); ++i) {
-    const float v = mixed_mag[i];
-    x[i] = v > 0.0f ? std::sqrt(v) : 0.0f;
-  }
+  CompressMagnitudes(mixed_mag.data(), x.numel(), x.data());
   for (std::size_t i = 0; i < convs_.size(); ++i) {
     x = convs_[i]->Forward(x);
     // Final conv layer also passes through ReLU per the paper's uniform
@@ -66,17 +90,9 @@ nn::Tensor Selector::Forward(const nn::Tensor& mixed_mag,
     x = conv_relus_[i].Forward(x);
   }
 
-  // (2, T, F) -> (T, 2F + E): frame t = [ch0 row t, ch1 row t, d-vector].
   NEC_CHECK(x.rank() == 3 && x.dim(0) == 2);
   nn::Tensor fused({T, 2 * F + config_.embedding_dim});
-  for (std::size_t t = 0; t < T; ++t) {
-    float* row = fused.data() + t * (2 * F + config_.embedding_dim);
-    for (std::size_t f = 0; f < F; ++f) row[f] = x.At3(0, t, f);
-    for (std::size_t f = 0; f < F; ++f) row[F + f] = x.At3(1, t, f);
-    for (std::size_t e = 0; e < config_.embedding_dim; ++e) {
-      row[2 * F + e] = dvector[e];
-    }
-  }
+  FuseFrames(x.data(), dvector, T, F, fused.data());
 
   nn::Tensor h = fc_relu_.Forward(fc1_->Forward(fused));
   nn::Tensor logits = fc2_->Forward(h);  // (T, F)
@@ -95,130 +111,91 @@ nn::Tensor Selector::Forward(const nn::Tensor& mixed_mag,
   return shadow;
 }
 
-nn::Tensor Selector::Infer(const nn::Tensor& mixed_mag,
-                           const std::vector<float>& dvector) const {
-  // Mirror of Forward through the layers' cache-free Infer path; every
-  // arithmetic step matches Forward exactly (the runtime test suite pins
-  // Infer == Forward bit-for-bit). No member state is written here: that is
-  // what lets nec::runtime sessions share one trained Selector across
-  // threads.
-  NEC_CHECK_MSG(mixed_mag.rank() == 2 &&
-                    mixed_mag.dim(1) == config_.num_bins(),
-                "selector expects (T, F) input with F = "
-                    << config_.num_bins());
-  NEC_CHECK_MSG(dvector.size() == config_.embedding_dim,
-                "d-vector dim " << dvector.size() << " != configured "
-                                << config_.embedding_dim);
-  const std::size_t T = mixed_mag.dim(0);
-  const std::size_t F = config_.num_bins();
-
-  nn::Tensor x({1, T, F});
-  for (std::size_t i = 0; i < x.numel(); ++i) {
-    const float v = mixed_mag[i];
-    x[i] = v > 0.0f ? std::sqrt(v) : 0.0f;
-  }
-  for (std::size_t i = 0; i < convs_.size(); ++i) {
-    x = conv_relus_[i].Infer(convs_[i]->Infer(x));
-  }
-
-  NEC_CHECK(x.rank() == 3 && x.dim(0) == 2);
-  nn::Tensor fused({T, 2 * F + config_.embedding_dim});
-  for (std::size_t t = 0; t < T; ++t) {
-    float* row = fused.data() + t * (2 * F + config_.embedding_dim);
-    for (std::size_t f = 0; f < F; ++f) row[f] = x.At3(0, t, f);
-    for (std::size_t f = 0; f < F; ++f) row[F + f] = x.At3(1, t, f);
-    for (std::size_t e = 0; e < config_.embedding_dim; ++e) {
-      row[2 * F + e] = dvector[e];
-    }
-  }
-
-  nn::Tensor h = fc_relu_.Infer(fc1_->Infer(fused));
-  nn::Tensor logits = fc2_->Infer(h);  // (T, F)
-
-  nn::Tensor mask = mask_sigmoid_.Infer(logits);
-  nn::Tensor shadow({T, F});
-  for (std::size_t i = 0; i < shadow.numel(); ++i) {
-    shadow[i] = -mask[i] * mixed_mag[i];
-  }
-  return shadow;
-}
-
-std::vector<nn::Tensor> Selector::InferBatch(
-    const std::vector<const nn::Tensor*>& mixed_mags,
-    const std::vector<const std::vector<float>*>& dvectors) const {
-  const std::size_t B = mixed_mags.size();
-  NEC_CHECK_MSG(B >= 1, "InferBatch on an empty batch");
-  NEC_CHECK_MSG(dvectors.size() == B,
-                "InferBatch: " << B << " mags vs " << dvectors.size()
-                               << " d-vectors");
+void Selector::ComputeShadowBatchInto(
+    std::span<const dsp::Spectrogram* const> specs,
+    std::span<const std::vector<float>* const> dvectors,
+    std::span<std::vector<float>* const> outs) const {
+  const std::size_t B = specs.size();
+  NEC_CHECK_MSG(B >= 1, "selector batch is empty");
+  NEC_CHECK_MSG(dvectors.size() == B && outs.size() == B,
+                "selector batch: " << B << " spectrograms vs "
+                                   << dvectors.size() << " d-vectors and "
+                                   << outs.size() << " outputs");
   const std::size_t F = config_.num_bins();
   const std::size_t E = config_.embedding_dim;
-  NEC_CHECK_MSG(mixed_mags[0] != nullptr && mixed_mags[0]->rank() == 2 &&
-                    mixed_mags[0]->dim(1) == F,
-                "selector expects (T, F) input with F = " << F);
-  const std::size_t T = mixed_mags[0]->dim(0);
+  NEC_CHECK_MSG(specs[0] != nullptr, "selector batch: null item 0");
+  const std::size_t T = specs[0]->num_frames();
   for (std::size_t b = 0; b < B; ++b) {
-    NEC_CHECK_MSG(mixed_mags[b] != nullptr && dvectors[b] != nullptr,
-                  "InferBatch: null item " << b);
-    NEC_CHECK_MSG(mixed_mags[b]->rank() == 2 &&
-                      mixed_mags[b]->dim(0) == T &&
-                      mixed_mags[b]->dim(1) == F,
-                  "InferBatch items must share (T, F); item "
+    NEC_CHECK_MSG(specs[b] != nullptr && dvectors[b] != nullptr &&
+                      outs[b] != nullptr,
+                  "selector batch: null item " << b);
+    NEC_CHECK_MSG(specs[b]->num_bins() == F,
+                  "selector expects F = " << F << " bins; item " << b
+                                          << " has " << specs[b]->num_bins());
+    NEC_CHECK_MSG(specs[b]->num_frames() == T,
+                  "selector batch items must share (T, F); item "
                       << b << " differs");
     NEC_CHECK_MSG(dvectors[b]->size() == E,
-                  "d-vector dim " << dvectors[b]->size()
-                                  << " != configured " << E);
+                  "d-vector dim " << dvectors[b]->size() << " != configured "
+                                  << E);
   }
 
-  // Mirror of Infer with a leading batch dim. Every per-item arithmetic
-  // step below is the exact code Infer runs — same sqrt compression, same
-  // conv kernel per item (Conv2D::InferBatch loops the per-item GEMM over
-  // shared weights), same row-independent FC GEMM — so each item's shadow
-  // is bit-identical to its solo Infer result (test-enforced).
-  nn::Tensor x({B, 1, T, F});
+  // Per-item gain normalization, applied before stacking so batching
+  // cannot couple items through the gain.
+  nn::Tensor gains({B});
+  nn::Tensor scaled({B, T, F});
   for (std::size_t b = 0; b < B; ++b) {
-    const nn::Tensor& mag = *mixed_mags[b];
-    float* dst = x.data() + b * T * F;
-    for (std::size_t i = 0; i < T * F; ++i) {
-      const float v = mag[i];
-      dst[i] = v > 0.0f ? std::sqrt(v) : 0.0f;
-    }
-  }
-  for (std::size_t i = 0; i < convs_.size(); ++i) {
-    x = conv_relus_[i].InferBatch(convs_[i]->InferBatch(x));
+    const std::vector<float>& mag = specs[b]->mag();
+    double acc = 0.0;
+    for (float m : mag) acc += static_cast<double>(m) * m;
+    const float rms = static_cast<float>(
+        std::sqrt(acc / std::max<std::size_t>(1, mag.size())));
+    gains[b] = rms > 1e-9f ? 1.0f / rms : 1.0f;
+    float* dst = scaled.data() + b * T * F;
+    for (std::size_t i = 0; i < T * F; ++i) dst[i] = mag[i] * gains[b];
   }
 
-  // (B, 2, T, F) -> (B, T, 2F + E).
-  NEC_CHECK(x.rank() == 4 && x.dim(1) == 2);
+  // The conv stack runs one item at a time (Conv2D batches by looping its
+  // items anyway), ping-ponging two activation buffers with the ReLUs in
+  // place, so an item's stack holds two activations at a time instead of
+  // one per layer. Under an arena, each item's buffers are rewound before
+  // the next item starts; only the fused FC input is batch-sized.
   nn::Tensor fused({B, T, 2 * F + E});
   for (std::size_t b = 0; b < B; ++b) {
-    const float* ch0 = x.data() + b * 2 * T * F;
-    const float* ch1 = ch0 + T * F;
-    const std::vector<float>& dvector = *dvectors[b];
-    for (std::size_t t = 0; t < T; ++t) {
-      float* row = fused.data() + (b * T + t) * (2 * F + E);
-      for (std::size_t f = 0; f < F; ++f) row[f] = ch0[t * F + f];
-      for (std::size_t f = 0; f < F; ++f) row[F + f] = ch1[t * F + f];
-      for (std::size_t e = 0; e < E; ++e) row[2 * F + e] = dvector[e];
+    std::optional<ArenaScope> item_scope;
+    if (Arena* arena = ArenaScope::Current()) item_scope.emplace(*arena);
+    nn::Tensor x({1, 1, T, F});
+    nn::Tensor y;
+    CompressMagnitudes(scaled.data() + b * T * F, T * F, x.data());
+    for (std::size_t i = 0; i < convs_.size(); ++i) {
+      convs_[i]->InferBatchInto(x, y);
+      conv_relus_[i].InferBatchInto(y, y);
+      std::swap(x, y);
     }
+    NEC_CHECK(x.rank() == 4 && x.dim(1) == 2);
+    FuseFrames(x.data(), *dvectors[b], T, F,
+               fused.data() + b * T * (2 * F + E));
   }
 
-  nn::Tensor h = fc_relu_.InferBatch(fc1_->InferBatch(fused));
-  nn::Tensor logits = fc2_->InferBatch(h);  // (B, T, F)
+  // The FC head runs as one GEMM over all B*T rows (row-independent, so
+  // bit-identical per item).
+  nn::Tensor h, mask;
+  fc1_->InferBatchInto(fused, h);
+  fc_relu_.InferBatchInto(h, h);
+  fc2_->InferBatchInto(h, mask);
+  mask_sigmoid_.InferBatchInto(mask, mask);
 
-  nn::Tensor mask = mask_sigmoid_.InferBatch(logits);
-  std::vector<nn::Tensor> shadows;
-  shadows.reserve(B);
+  // Masked shadow head (see Forward), un-normalized per item.
   for (std::size_t b = 0; b < B; ++b) {
-    const nn::Tensor& mag = *mixed_mags[b];
     const float* m = mask.data() + b * T * F;
-    nn::Tensor shadow({T, F});
+    const float* in = scaled.data() + b * T * F;
+    std::vector<float>& out = *outs[b];
+    out.resize(T * F);
     for (std::size_t i = 0; i < T * F; ++i) {
-      shadow[i] = -m[i] * mag[i];
+      const float shadow = -m[i] * in[i];
+      out[i] = shadow / gains[b];
     }
-    shadows.push_back(std::move(shadow));
   }
-  return shadows;
 }
 
 void Selector::Backward(const nn::Tensor& grad_shadow) {
@@ -264,74 +241,19 @@ std::vector<nn::Param*> Selector::Params() {
 void Selector::ComputeShadowInto(const dsp::Spectrogram& spec,
                                  const std::vector<float>& dvector,
                                  std::vector<float>& out) const {
-  const std::size_t T = spec.num_frames(), F = spec.num_bins();
-  NEC_CHECK(F == config_.num_bins());
-
-  // Per-instance gain normalization.
-  double acc = 0.0;
-  for (float m : spec.mag()) acc += static_cast<double>(m) * m;
-  const float rms = static_cast<float>(
-      std::sqrt(acc / std::max<std::size_t>(1, spec.mag().size())));
-  const float gain = rms > 1e-9f ? 1.0f / rms : 1.0f;
-
-  nn::Tensor input({T, F});
-  for (std::size_t i = 0; i < input.numel(); ++i) {
-    input[i] = spec.mag()[i] * gain;
-  }
-  nn::Tensor shadow = Infer(input, dvector);
-  out.resize(shadow.numel());
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    out[i] = shadow[i] / gain;
-  }
-}
-
-std::vector<float> Selector::ComputeShadow(
-    const dsp::Spectrogram& spec, const std::vector<float>& dvector) const {
-  std::vector<float> out;
-  ComputeShadowInto(spec, dvector, out);
-  return out;
+  const dsp::Spectrogram* const spec_ptr = &spec;
+  const std::vector<float>* const dvector_ptr = &dvector;
+  std::vector<float>* const out_ptr = &out;
+  ComputeShadowBatchInto({&spec_ptr, 1}, {&dvector_ptr, 1}, {&out_ptr, 1});
 }
 
 std::vector<std::vector<float>> Selector::ComputeShadowBatch(
     const std::vector<const dsp::Spectrogram*>& specs,
     const std::vector<const std::vector<float>*>& dvectors) const {
-  const std::size_t B = specs.size();
-  NEC_CHECK_MSG(B >= 1, "ComputeShadowBatch on an empty batch");
-  NEC_CHECK(dvectors.size() == B);
-  const std::size_t F = config_.num_bins();
-
-  // Per-item gain normalization — identical to ComputeShadow's, applied
-  // before stacking so batching cannot couple items through the gain.
-  std::vector<nn::Tensor> inputs(B);
-  std::vector<float> gains(B);
-  for (std::size_t b = 0; b < B; ++b) {
-    NEC_CHECK_MSG(specs[b] != nullptr, "null spectrogram in batch");
-    const dsp::Spectrogram& spec = *specs[b];
-    NEC_CHECK(spec.num_bins() == F);
-    double acc = 0.0;
-    for (float m : spec.mag()) acc += static_cast<double>(m) * m;
-    const float rms = static_cast<float>(
-        std::sqrt(acc / std::max<std::size_t>(1, spec.mag().size())));
-    gains[b] = rms > 1e-9f ? 1.0f / rms : 1.0f;
-
-    nn::Tensor input({spec.num_frames(), F});
-    for (std::size_t i = 0; i < input.numel(); ++i) {
-      input[i] = spec.mag()[i] * gains[b];
-    }
-    inputs[b] = std::move(input);
-  }
-
-  std::vector<const nn::Tensor*> mag_ptrs(B);
-  for (std::size_t b = 0; b < B; ++b) mag_ptrs[b] = &inputs[b];
-  std::vector<nn::Tensor> shadows = InferBatch(mag_ptrs, dvectors);
-
-  std::vector<std::vector<float>> out(B);
-  for (std::size_t b = 0; b < B; ++b) {
-    out[b].resize(shadows[b].numel());
-    for (std::size_t i = 0; i < out[b].size(); ++i) {
-      out[b][i] = shadows[b][i] / gains[b];
-    }
-  }
+  std::vector<std::vector<float>> out(specs.size());
+  std::vector<std::vector<float>*> out_ptrs(out.size());
+  for (std::size_t b = 0; b < out.size(); ++b) out_ptrs[b] = &out[b];
+  ComputeShadowBatchInto(specs, dvectors, out_ptrs);
   return out;
 }
 
@@ -397,15 +319,11 @@ Selector Selector::Load(const std::string& path) {
 // across sessions silently becomes a data race — fail the build instead.
 static_assert(
     requires(const Selector& s, const dsp::Spectrogram& spec,
-             const nn::Tensor& mag, const std::vector<float>& d,
+             const std::vector<float>& d,
              const std::vector<const dsp::Spectrogram*>& specs,
-             const std::vector<const nn::Tensor*>& mags,
              const std::vector<const std::vector<float>*>& ds,
              std::vector<float>& shadow_out) {
-      s.ComputeShadow(spec, d);
       s.ComputeShadowInto(spec, d, shadow_out);
-      s.Infer(mag, d);
-      s.InferBatch(mags, ds);
       s.ComputeShadowBatch(specs, ds);
       s.config();
     },

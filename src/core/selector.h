@@ -30,6 +30,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -39,6 +40,8 @@
 #include "nn/layers.h"
 
 namespace nec::core {
+
+struct ShadowBatchRequest;  // core/pipeline.h
 
 class Selector {
  public:
@@ -51,48 +54,29 @@ class Selector {
   nn::Tensor Forward(const nn::Tensor& mixed_mag,
                      const std::vector<float>& dvector, bool training);
 
-  /// Cache-free, bit-identical twin of Forward: writes no member state, so
-  /// any number of threads may run Infer concurrently on one shared trained
-  /// Selector (nec::runtime sessions share weights via
-  /// shared_ptr<const Selector>). Kept in lockstep with Forward — change
-  /// both together.
-  nn::Tensor Infer(const nn::Tensor& mixed_mag,
-                   const std::vector<float>& dvector) const;
-
-  /// Batched Infer: stacks B same-shaped (T, F) magnitude tensors with
-  /// their d-vectors into one (B, ...) forward pass through the layers'
-  /// InferBatch path and splits the B shadow tensors back out. Guaranteed
-  /// bit-identical, per item, to calling Infer on each (mag, dvector) pair
-  /// — the runtime micro-batcher (runtime/batcher.h) relies on this to
-  /// coalesce concurrent sessions' chunks without changing their emitted
-  /// bits. At B = 1 this IS Infer. All items must share (T, F).
-  std::vector<nn::Tensor> InferBatch(
-      const std::vector<const nn::Tensor*>& mixed_mags,
-      const std::vector<const std::vector<float>*>& dvectors) const;
-
   /// Backprop from dLoss/dShadow; accumulates parameter gradients.
   void Backward(const nn::Tensor& grad_shadow);
 
   std::vector<nn::Param*> Params();
 
-  /// Convenience: spectrogram in, shadow magnitude surface out (applies the
-  /// per-instance gain normalization described above). The result can be
-  /// superposed with spec's magnitudes or rendered via IstftWithPhase.
-  /// Const (uses Infer) — safe for concurrent sessions on shared weights.
-  std::vector<float> ComputeShadow(const dsp::Spectrogram& spec,
-                                   const std::vector<float>& dvector) const;
-
-  /// ComputeShadow into a caller-owned surface (resized in place; capacity
-  /// reused across chunks). Bit-identical to ComputeShadow. Run under an
-  /// ArenaScope the network's intermediate tensors bump-allocate instead of
-  /// hitting the heap — the streaming per-chunk path does exactly that.
+  /// Spectrogram in, shadow magnitude surface out (applies the
+  /// per-instance gain normalization described above) — the batched core
+  /// at B = 1. `out` is resized in place, so its capacity is reused across
+  /// chunks. The result can be superposed with spec's magnitudes or
+  /// rendered via IstftWithPhase. Const: writes no member state, so any
+  /// number of threads may run it concurrently on one shared trained
+  /// Selector (nec::runtime sessions share weights via
+  /// shared_ptr<const Selector>). Run under an ArenaScope, the network's
+  /// intermediate tensors bump-allocate instead of hitting the heap — the
+  /// per-chunk serving path does exactly that. Bit-identical to Forward on
+  /// the gain-normalized magnitudes, divided back by the gain.
   void ComputeShadowInto(const dsp::Spectrogram& spec,
                          const std::vector<float>& dvector,
                          std::vector<float>& out) const;
 
-  /// Batched ComputeShadow: applies each item's own gain normalization,
-  /// runs one InferBatch, and un-normalizes per item — bit-identical per
-  /// item to ComputeShadow. All spectrograms must share (T, F).
+  /// Value wrapper over the batched core: each item keeps its own gain
+  /// normalization, so every item is bit-identical to ComputeShadowInto on
+  /// that item alone. All spectrograms must share (T, F).
   std::vector<std::vector<float>> ComputeShadowBatch(
       const std::vector<const dsp::Spectrogram*>& specs,
       const std::vector<const std::vector<float>*>& dvectors) const;
@@ -106,6 +90,20 @@ class Selector {
   std::size_t LastForwardMacs() const;
 
  private:
+  friend void GenerateShadowBatchInto(
+      std::span<const ShadowBatchRequest> requests, Arena& arena);
+
+  /// The one inference core: B same-shaped (T, F) spectrograms with their
+  /// d-vectors in, B shadow surfaces out (each resized in place). Per-item
+  /// arithmetic does not depend on B or on the other items — the runtime
+  /// micro-batcher (runtime/batcher.h) relies on this to coalesce
+  /// concurrent sessions' chunks without changing their emitted bits.
+  /// Intermediates are tensors, so they live in the caller's ArenaScope.
+  void ComputeShadowBatchInto(
+      std::span<const dsp::Spectrogram* const> specs,
+      std::span<const std::vector<float>* const> dvectors,
+      std::span<std::vector<float>* const> outs) const;
+
   NecConfig config_;
   // Conv stack (owning pointers so layers can be heterogeneous later).
   std::vector<std::unique_ptr<nn::Conv2D>> convs_;

@@ -38,12 +38,6 @@ void StreamingProcessor::ProcessChunkInto(const audio::Waveform& chunk,
   CompleteShadowChunkInto(shadow_wave_, MsSince(t0), out);
 }
 
-audio::Waveform StreamingProcessor::ProcessChunk(audio::Waveform chunk) {
-  audio::Waveform out;
-  ProcessChunkInto(chunk, out);
-  return out;
-}
-
 void StreamingProcessor::CompleteShadowChunkInto(
     const audio::Waveform& shadow, double selector_ms,
     audio::Waveform& out) {
@@ -71,20 +65,13 @@ void StreamingProcessor::CompleteShadowChunkInto(
   ++timings_.chunks;
 }
 
-audio::Waveform StreamingProcessor::CompleteShadowChunk(
-    audio::Waveform shadow, double selector_ms) {
-  audio::Waveform out;
-  CompleteShadowChunkInto(shadow, selector_ms, out);
-  return out;
-}
-
 void StreamingProcessor::BufferSamples(std::span<const float> samples) {
   buffer_.data().insert(buffer_.data().end(), samples.begin(),
                         samples.end());
 }
 
 void StreamingProcessor::PopChunkInto(audio::Waveform& chunk) {
-  NEC_CHECK_MSG(HasFullChunk(), "PopChunk without a full buffered chunk");
+  NEC_CHECK_MSG(HasFullChunk(), "PopChunkInto without a full buffered chunk");
   chunk.AssignSilence(buffer_.sample_rate(), chunk_samples_);
   std::copy(buffer_.data().begin(),
             buffer_.data().begin() +
@@ -93,12 +80,6 @@ void StreamingProcessor::PopChunkInto(audio::Waveform& chunk) {
   buffer_.data().erase(
       buffer_.data().begin(),
       buffer_.data().begin() + static_cast<std::ptrdiff_t>(chunk_samples_));
-}
-
-audio::Waveform StreamingProcessor::PopChunk() {
-  audio::Waveform chunk;
-  PopChunkInto(chunk);
-  return chunk;
 }
 
 std::optional<audio::Waveform> StreamingProcessor::Push(
@@ -147,7 +128,9 @@ std::optional<audio::Waveform> StreamingProcessor::Flush() {
   if (buffer_.empty()) return std::nullopt;
   audio::Waveform chunk = buffer_.Slice(0, chunk_samples_);  // zero-padded
   buffer_ = audio::Waveform(pipeline_.config().sample_rate, std::size_t{0});
-  return ProcessChunk(std::move(chunk));
+  audio::Waveform out;
+  ProcessChunkInto(chunk, out);
+  return out;
 }
 
 }  // namespace nec::core

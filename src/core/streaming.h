@@ -54,13 +54,14 @@ class StreamingProcessor {
 
   // --- Decomposed chunk path (runtime micro-batching; see DESIGN.md §5e).
   //
-  // Push == BufferSamples + { PopChunk → GenerateShadow →
-  // CompleteShadowChunk } per full chunk. The batched runtime splits the
-  // loop across threads: the session strand only buffers and pops, the
-  // coalescer runs the batched shadow generation and then completes each
-  // chunk IN STREAM ORDER — CompleteShadowChunk latches the stream-wide
-  // modulation reference from the first non-silent shadow, so completion
-  // order is part of the output bits.
+  // Push == BufferSamples + { PopChunkInto → ProcessChunkInto } per full
+  // chunk, and ProcessChunkInto == GenerateShadowInto →
+  // CompleteShadowChunkInto. The batched runtime splits the loop across
+  // threads: the session strand only buffers and pops, the dispatcher runs
+  // the batched shadow generation and then completes each chunk IN STREAM
+  // ORDER — CompleteShadowChunkInto latches the stream-wide modulation
+  // reference from the first non-silent shadow, so completion order is part
+  // of the output bits.
 
   /// Appends monitored samples without processing anything.
   void BufferSamples(std::span<const float> samples);
@@ -68,26 +69,17 @@ class StreamingProcessor {
   /// True when at least chunk_samples() are buffered.
   bool HasFullChunk() const { return buffer_.size() >= chunk_samples_; }
 
-  /// Pops the oldest full chunk (requires HasFullChunk()).
-  audio::Waveform PopChunk();
-
-  /// PopChunk into a caller-owned buffer (rebound in place; capacity
-  /// reused). The zero-allocation strand path pops every chunk through one
-  /// session-owned buffer instead of materializing a fresh Waveform.
+  /// Pops the oldest full chunk (requires HasFullChunk()) into a
+  /// caller-owned buffer (rebound in place; capacity reused).
   void PopChunkInto(audio::Waveform& chunk);
 
   /// Second half of the chunk path: stream-reference latch + ultrasonic
   /// modulation + timing accounting for a shadow produced externally
-  /// (batched GenerateShadowBatch). `selector_ms` is the shadow-generation
-  /// time to attribute to this chunk. Chunks of one processor must be
-  /// completed in the order they were popped.
-  audio::Waveform CompleteShadowChunk(audio::Waveform shadow,
-                                      double selector_ms);
-
-  /// CompleteShadowChunk into a caller-owned buffer. Reuses this
+  /// (batched GenerateShadowBatchInto). `selector_ms` is the
+  /// shadow-generation time to attribute to this chunk. Chunks of one
+  /// processor must be completed in the order they were popped. Reuses this
   /// processor's cached modulation resampler plan, so a warm call performs
-  /// no allocation; bit-identical to CompleteShadowChunk (the plan caches
-  /// the same FIR taps the plan-free modulator designs per call).
+  /// no allocation.
   void CompleteShadowChunkInto(const audio::Waveform& shadow,
                                double selector_ms, audio::Waveform& out);
 
@@ -123,20 +115,14 @@ class StreamingProcessor {
   SelectorKind kind() const { return kind_; }
   const NecPipeline& pipeline() const { return pipeline_; }
 
-  /// STFT/ISTFT scratch for whoever generates this processor's shadows
-  /// (the processor itself, or the runtime coalescer in batched mode).
-  /// Scratch only — contents never affect output bits — but not shareable
-  /// across concurrent callers.
-  dsp::StftWorkspace& stft_workspace() { return scratch_.stft; }
-
   /// Full per-chunk scratch (workspace, spectrogram, shadow surface,
-  /// selector arena) for whoever drives GenerateShadowInto on this
-  /// processor's stream. Same sharing contract as stft_workspace().
+  /// selector arena) for whoever generates this processor's shadows (the
+  /// processor itself, or the runtime dispatcher in batched mode). Scratch
+  /// only — contents never affect output bits — but not shareable across
+  /// concurrent callers.
   ShadowScratch& shadow_scratch() { return scratch_; }
 
  private:
-  audio::Waveform ProcessChunk(audio::Waveform chunk);
-
   const NecPipeline& pipeline_;
   SelectorKind kind_;
   std::size_t chunk_samples_;

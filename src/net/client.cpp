@@ -304,12 +304,10 @@ void NetClient::Dispatch(Frame&& frame) {
       sessions_[frame.session_id].open_acked = true;
       return;
     case FrameType::kShadowData: {
+      // Straight from the payload onto the stream; a malformed payload
+      // (length not a multiple of 4) appends nothing.
       PayloadReader reader(frame.payload);
-      std::vector<float> samples;
-      if (reader.Floats(&samples)) {
-        auto& shadow = sessions_[frame.session_id].shadow;
-        shadow.insert(shadow.end(), samples.begin(), samples.end());
-      }
+      reader.Floats(&sessions_[frame.session_id].shadow);
       return;
     }
     case FrameType::kClosed:

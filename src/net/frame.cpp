@@ -9,16 +9,26 @@
 namespace nec::net {
 namespace {
 
-std::array<std::uint32_t, 256> MakeCrcTable() {
-  std::array<std::uint32_t, 256> table{};
+// Slicing-by-8 tables: t[0] is the classic bytewise table, and t[k][i] is
+// t[k-1][i] advanced over one more zero byte, so eight lookups fold eight
+// input bytes per step instead of one.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+CrcTables MakeCrcTables() {
+  CrcTables t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
     }
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < t.size(); ++k) {
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+    }
+  }
+  return t;
 }
 
 std::uint32_t LoadU32(const std::uint8_t* p) {
@@ -79,10 +89,17 @@ bool IsKnownFrameType(std::uint8_t value) {
 }
 
 std::uint32_t Crc32(const std::uint8_t* data, std::size_t size) {
-  static const std::array<std::uint32_t, 256> table = MakeCrcTable();
+  static const CrcTables t = MakeCrcTables();
   std::uint32_t crc = 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < size; ++i) {
-    crc = table[(crc ^ data[i]) & 0xFFu] ^ (crc >> 8);
+  for (; size >= 8; data += 8, size -= 8) {
+    const std::uint32_t lo = LoadU32(data) ^ crc;
+    const std::uint32_t hi = LoadU32(data + 4);
+    crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+          t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+          t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; size > 0; ++data, --size) {
+    crc = t[0][(crc ^ *data) & 0xFFu] ^ (crc >> 8);
   }
   return crc ^ 0xFFFFFFFFu;
 }
@@ -208,9 +225,11 @@ bool PayloadReader::Floats(std::vector<float>* v) {
     return false;
   }
   const std::size_t count = (data_.size() - offset_) / sizeof(float);
-  v->resize(count);
+  const std::size_t old_size = v->size();
+  v->resize(old_size + count);
   if (count > 0) {
-    std::memcpy(v->data(), data_.data() + offset_, count * sizeof(float));
+    std::memcpy(v->data() + old_size, data_.data() + offset_,
+                count * sizeof(float));
   }
   offset_ = data_.size();
   return true;
@@ -257,6 +276,7 @@ void PutSessionSnapshot(std::vector<std::uint8_t>* out,
 bool ParseSessionSnapshot(std::span<const std::uint8_t> payload,
                           SessionSnapshotPayload* snapshot) {
   PayloadReader reader(payload);
+  snapshot->tail.clear();
   return reader.U64(&snapshot->speaker_seed) &&
          reader.U64(&snapshot->ref_seed) &&
          reader.U64(&snapshot->chunks_done) &&

@@ -100,7 +100,7 @@ struct Frame {
 };
 
 /// CRC-32 (IEEE 802.3, reflected, init/xorout 0xFFFFFFFF) — the classic
-/// zlib polynomial, table-driven.
+/// zlib polynomial, table-driven (slicing-by-8: eight bytes per step).
 std::uint32_t Crc32(const std::uint8_t* data, std::size_t size);
 inline std::uint32_t Crc32(std::span<const std::uint8_t> data) {
   return Crc32(data.data(), data.size());
@@ -183,7 +183,7 @@ class PayloadReader {
   bool U32(std::uint32_t* v);
   bool U64(std::uint64_t* v);
   /// Consumes all remaining bytes as float32s (size must be a multiple
-  /// of 4).
+  /// of 4), appending them to *v.
   bool Floats(std::vector<float>* v);
   /// Consumes all remaining bytes as text.
   std::string RemainingText();

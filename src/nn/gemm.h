@@ -3,23 +3,13 @@
 //
 // The kernels are cache-blocked (MC/KC/NC tiling, register-blocked inner
 // loops) and tuned for auto-vectorization (contiguous inner loops,
-// restrict-qualified pointers). For a fixed thread configuration every call
-// is deterministic: each output element accumulates its k-products in
-// ascending k order, so results are reproducible run-to-run — the property
+// restrict-qualified pointers). Every call is deterministic: each output
+// element accumulates its k-products in ascending k order, so results are
+// reproducible run-to-run — the property
 // the nec::runtime bit-exactness audit depends on.
-//
-// Optional parallelism: an application can install a parallel-for hook
-// (e.g. bridging to nec::runtime::ThreadPool — see runtime/gemm_parallel.h)
-// and opt a thread into row-panel parallel GEMM with GemmParallelScope.
-// Panels split the M dimension only, so each output element's arithmetic —
-// and therefore the result — is bit-identical to the serial kernel. The
-// scope gate is THREAD-LOCAL and defaults to off: nec::runtime worker
-// strands never enter a scope, keeping per-session work serial and the
-// N-session bit-exactness audit trivially valid.
 #pragma once
 
 #include <cstddef>
-#include <functional>
 
 namespace nec::nn {
 
@@ -37,34 +27,5 @@ void GemmNT(const float* a, const float* b, float* c, std::size_t m,
 void GemmTN(const float* a, const float* b, float* c, std::size_t m,
             std::size_t n, std::size_t k, float alpha = 1.0f,
             float beta = 0.0f);
-
-/// Runs `body(i)` for i in [0, num_tasks), possibly concurrently. The hook
-/// must not return until every body call has completed.
-using GemmParallelFor =
-    std::function<void(std::size_t num_tasks,
-                       const std::function<void(std::size_t)>& body)>;
-
-/// Installs (or, with nullptr, removes) the process-wide parallel-for hook.
-/// Not thread-safe against concurrent GEMM calls — install once at startup.
-void SetGemmParallelFor(GemmParallelFor fn);
-
-/// True when the calling thread is inside a GemmParallelScope AND a hook is
-/// installed — i.e. the next GEMM call may fan out row panels.
-bool GemmParallelActive();
-
-/// RAII opt-in: while alive, GEMM calls on THIS thread may use the
-/// installed parallel-for hook for large row counts. Nestable; the previous
-/// state is restored on destruction.
-class GemmParallelScope {
- public:
-  explicit GemmParallelScope(bool enabled = true);
-  ~GemmParallelScope();
-
-  GemmParallelScope(const GemmParallelScope&) = delete;
-  GemmParallelScope& operator=(const GemmParallelScope&) = delete;
-
- private:
-  bool previous_;
-};
 
 }  // namespace nec::nn

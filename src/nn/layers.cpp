@@ -10,15 +10,25 @@ namespace nec::nn {
 
 // ------------------------------------------------------------------ Layer
 
-Tensor Layer::Infer(const Tensor&) const {
-  NEC_CHECK_MSG(false, Name() << " has no const inference path");
-  return Tensor();
+void Layer::InferBatchInto(const Tensor&, Tensor&) const {
+  NEC_CHECK_MSG(false, Name() << " has no batched inference path");
 }
 
-Tensor Layer::InferBatch(const Tensor&) const {
-  NEC_CHECK_MSG(false, Name() << " has no batched inference path");
-  return Tensor();
+Tensor Layer::InferBatch(const Tensor& batch) const {
+  Tensor out;
+  InferBatchInto(batch, out);
+  return out;
 }
+
+namespace {
+
+// Re-binds `t` to `shape` unless it already has it: a warm output keeps
+// its storage, and every kernel overwrites all of it.
+void EnsureShape(Tensor& t, const Shape& shape) {
+  if (t.shape() != shape) t = Tensor(shape);
+}
+
+}  // namespace
 
 // ---------------------------------------------------------------- Conv2D
 
@@ -132,8 +142,8 @@ inline void StoreConvVec(float* p, ConvVec v) {
 //     out[m][y][x] += weight[m][k] * padded[c][y + ky*dh][x + kx*dw]
 // The padding contributes explicit `w * 0.0f` addends, exactly like the
 // zero entries of the im2col lowering the training path keeps for its
-// gradients — every output element sees the same addend sequence on every
-// path (Forward, Infer, InferBatch), so the kernels are bit-compatible by
+// gradients — every output element sees the same addend sequence on both
+// paths (Forward, InferBatchInto), so they are bit-compatible by
 // construction.
 //
 // Why direct instead of im2col + GEMM: C_out is tiny (selector convs are
@@ -246,38 +256,28 @@ Tensor Conv2D::Forward(const Tensor& input) {
   return out;
 }
 
-Tensor Conv2D::Infer(const Tensor& input) const {
-  NEC_CHECK_MSG(input.rank() == 3 && input.dim(0) == in_channels_,
-                "Conv2D expects (in_channels, H, W) input");
-  // Per-thread scratch: Infer is const and shared across sessions, so a
-  // member cache would race; a thread_local (shared by every Conv2D on
+void Conv2D::InferBatchInto(const Tensor& batch, Tensor& out) const {
+  NEC_CHECK_MSG(batch.rank() == 4 && batch.dim(1) == in_channels_,
+                "Conv2D::InferBatchInto expects (B, in_channels, H, W)");
+  NEC_CHECK_MSG(&out != &batch, "Conv2D cannot run in place");
+  const std::size_t b = batch.dim(0), h = batch.dim(2), w = batch.dim(3);
+  const std::size_t in_item = in_channels_ * h * w;
+  const std::size_t out_item = out_channels_ * h * w;
+  // Per-thread scratch: inference is const and shared across sessions, so
+  // a member cache would race; a thread_local (shared by every Conv2D on
   // the thread, sized to the largest layer) keeps steady-state inference
   // allocation-free without locks. Bit-exactness is unaffected — the
   // scratch is fully rewritten (see ComputeInto) before it is read.
   thread_local std::vector<float> scratch;
-  const std::size_t h = input.dim(1), w = input.dim(2);
-  Tensor out({out_channels_, h, w});
-  ComputeInto(input.data(), h, w, scratch, out.data());
-  return out;
-}
-
-Tensor Conv2D::InferBatch(const Tensor& batch) const {
-  NEC_CHECK_MSG(batch.rank() == 4 && batch.dim(1) == in_channels_,
-                "Conv2D::InferBatch expects (B, in_channels, H, W)");
-  const std::size_t b = batch.dim(0), h = batch.dim(2), w = batch.dim(3);
-  const std::size_t in_item = in_channels_ * h * w;
-  const std::size_t out_item = out_channels_ * h * w;
-  thread_local std::vector<float> scratch;
-  Tensor out({b, out_channels_, h, w});
-  // Each item runs exactly the per-item ComputeInto kernel over the shared
-  // weights, so the batched path is bit-identical to looped Infer by
-  // construction (the batch win is hot-cache weights and amortized
-  // per-layer overhead, not a reassociated reduction).
+  EnsureShape(out, {b, out_channels_, h, w});
+  // Each item runs exactly the per-item ComputeInto kernel Forward runs
+  // over the shared weights, so the batched path is bit-identical to
+  // Forward per item by construction (the batch win is hot-cache weights
+  // and amortized per-layer overhead, not a reassociated reduction).
   for (std::size_t i = 0; i < b; ++i) {
     ComputeInto(batch.data() + i * in_item, h, w, scratch,
                 out.data() + i * out_item);
   }
-  return out;
 }
 
 Tensor Conv2D::Backward(const Tensor& grad_output) {
@@ -355,7 +355,7 @@ Linear::Linear(std::size_t in_features, std::size_t out_features, Rng& rng)
 void Linear::InferRows(const float* in, std::size_t rows, float* out) const {
   // Each output row depends only on its own input row, so running B items'
   // rows through ONE GemmNT call is bit-identical, row for row, to B
-  // separate calls — the property Linear::InferBatch relies on.
+  // separate calls — the property Linear::InferBatchInto relies on.
   GemmNT(in, weight_.value.data(), out, rows, out_features_, in_features_);
   for (std::size_t r = 0; r < rows; ++r) {
     float* orow = out + r * out_features_;
@@ -364,25 +364,20 @@ void Linear::InferRows(const float* in, std::size_t rows, float* out) const {
   }
 }
 
-Tensor Linear::Infer(const Tensor& input) const {
+void Linear::InferBatchInto(const Tensor& batch, Tensor& out) const {
+  NEC_CHECK_MSG(batch.rank() == 3 && batch.dim(2) == in_features_,
+                "Linear::InferBatchInto expects (B, rows, in_features)");
+  NEC_CHECK_MSG(&out != &batch, "Linear cannot run in place");
+  EnsureShape(out, {batch.dim(0), batch.dim(1), out_features_});
+  InferRows(batch.data(), batch.dim(0) * batch.dim(1), out.data());
+}
+
+Tensor Linear::Forward(const Tensor& input) {
   NEC_CHECK_MSG(input.rank() == 2 && input.dim(1) == in_features_,
                 "Linear expects (rows, in_features); got last dim "
                     << (input.rank() >= 1 ? input.dim(input.rank() - 1) : 0));
   Tensor out({input.dim(0), out_features_});
   InferRows(input.data(), input.dim(0), out.data());
-  return out;
-}
-
-Tensor Linear::InferBatch(const Tensor& batch) const {
-  NEC_CHECK_MSG(batch.rank() == 3 && batch.dim(2) == in_features_,
-                "Linear::InferBatch expects (B, rows, in_features)");
-  Tensor out({batch.dim(0), batch.dim(1), out_features_});
-  InferRows(batch.data(), batch.dim(0) * batch.dim(1), out.data());
-  return out;
-}
-
-Tensor Linear::Forward(const Tensor& input) {
-  Tensor out = Infer(input);
   input_cache_ = input;
   last_macs_ = input.dim(0) * out_features_ * in_features_;
   return out;
@@ -412,20 +407,36 @@ Tensor Linear::Backward(const Tensor& grad_output) {
 
 // ----------------------------------------------------------- Activations
 
-Tensor ReLU::Infer(const Tensor& input) const {
-  Tensor out = input;
+namespace {
+
+// The elementwise kernels: Forward and InferBatchInto both map through
+// these, so the two paths are bit-identical by construction. Each output
+// element depends only on the input element at the same index, so the map
+// may run in place.
+template <typename F>
+void MapInto(const Tensor& input, Tensor& out, F f) {
+  EnsureShape(out, input.shape());
+  const float* in = input.data();
   float* o = out.data();
-  for (std::size_t i = 0; i < out.numel(); ++i)
-    o[i] = o[i] > 0.0f ? o[i] : 0.0f;
-  return out;
+  for (std::size_t i = 0; i < out.numel(); ++i) o[i] = f(in[i]);
 }
 
-Tensor ReLU::InferBatch(const Tensor& batch) const { return Infer(batch); }
+float ReluOf(float v) { return v > 0.0f ? v : 0.0f; }
+float SigmoidOf(float v) { return 1.0f / (1.0f + std::exp(-v)); }
+float TanhOf(float v) { return std::tanh(v); }
+
+}  // namespace
+
+void ReLU::InferBatchInto(const Tensor& batch, Tensor& out) const {
+  MapInto(batch, out, ReluOf);
+}
 
 Tensor ReLU::Forward(const Tensor& input) {
   input_cache_ = input;
   last_elems_ = input.numel();
-  return Infer(input);
+  Tensor out;
+  MapInto(input, out, ReluOf);
+  return out;
 }
 
 Tensor ReLU::Backward(const Tensor& grad_output) {
@@ -437,20 +448,13 @@ Tensor ReLU::Backward(const Tensor& grad_output) {
   return grad;
 }
 
-Tensor Sigmoid::Infer(const Tensor& input) const {
-  Tensor out = input;
-  float* o = out.data();
-  for (std::size_t i = 0; i < out.numel(); ++i)
-    o[i] = 1.0f / (1.0f + std::exp(-o[i]));
-  return out;
-}
-
-Tensor Sigmoid::InferBatch(const Tensor& batch) const {
-  return Infer(batch);
+void Sigmoid::InferBatchInto(const Tensor& batch, Tensor& out) const {
+  MapInto(batch, out, SigmoidOf);
 }
 
 Tensor Sigmoid::Forward(const Tensor& input) {
-  Tensor out = Infer(input);
+  Tensor out;
+  MapInto(input, out, SigmoidOf);
   output_cache_ = out;
   last_elems_ = input.numel();
   return out;
@@ -466,17 +470,13 @@ Tensor Sigmoid::Backward(const Tensor& grad_output) {
   return grad;
 }
 
-Tensor Tanh::Infer(const Tensor& input) const {
-  Tensor out = input;
-  float* o = out.data();
-  for (std::size_t i = 0; i < out.numel(); ++i) o[i] = std::tanh(o[i]);
-  return out;
+void Tanh::InferBatchInto(const Tensor& batch, Tensor& out) const {
+  MapInto(batch, out, TanhOf);
 }
 
-Tensor Tanh::InferBatch(const Tensor& batch) const { return Infer(batch); }
-
 Tensor Tanh::Forward(const Tensor& input) {
-  Tensor out = Infer(input);
+  Tensor out;
+  MapInto(input, out, TanhOf);
   output_cache_ = out;
   last_elems_ = input.numel();
   return out;
@@ -523,7 +523,10 @@ void LayerNorm::NormalizeRows(const float* in, std::size_t rows, float* out,
     float* o = out + r * n;
     // Fixed ascending-order double accumulation: rows are normalized
     // independently and identically regardless of how many ride in the
-    // call, which is what makes Infer/InferBatch bit-identical per item.
+    // call, which is what makes Forward/InferBatchInto bit-identical per
+    // item. A row's statistics are taken before the row is written, and
+    // each element is read before it is overwritten, so the normalization
+    // may run in place.
     double sum = 0.0;
     for (std::size_t j = 0; j < n; ++j) sum += x[j];
     const float mean = static_cast<float>(sum / static_cast<double>(n));
@@ -543,19 +546,14 @@ void LayerNorm::NormalizeRows(const float* in, std::size_t rows, float* out,
   }
 }
 
-Tensor LayerNorm::Infer(const Tensor& input) const {
-  NEC_CHECK_MSG(
-      input.rank() >= 1 && input.dim(input.rank() - 1) == features_,
-      "LayerNorm expects last dim == " << features_);
-  Tensor out(input.shape());
-  NormalizeRows(input.data(), input.numel() / features_, out.data());
-  return out;
-}
-
-Tensor LayerNorm::InferBatch(const Tensor& batch) const {
+void LayerNorm::InferBatchInto(const Tensor& batch, Tensor& out) const {
   // Row-wise and shape-preserving: a leading batch dim just folds into
   // the row count, so the batched path IS the per-item path.
-  return Infer(batch);
+  NEC_CHECK_MSG(
+      batch.rank() >= 1 && batch.dim(batch.rank() - 1) == features_,
+      "LayerNorm expects last dim == " << features_);
+  EnsureShape(out, batch.shape());
+  NormalizeRows(batch.data(), batch.numel() / features_, out.data());
 }
 
 Tensor LayerNorm::Forward(const Tensor& input) {
@@ -668,12 +666,6 @@ Tensor Sequential::Backward(const Tensor& grad_output) {
     g = (*it)->Backward(g);
   }
   return g;
-}
-
-Tensor Sequential::Infer(const Tensor& input) const {
-  Tensor x = input;
-  for (const auto& layer : layers_) x = layer->Infer(x);
-  return x;
 }
 
 Tensor Sequential::InferBatch(const Tensor& batch) const {

@@ -7,22 +7,28 @@
 // Param::grad and returns the gradient with respect to the layer input.
 //
 // Thread-safety contract (nec::runtime shares one trained weight set across
-// concurrent sessions):
+// concurrent sessions). Each layer has one inference path and one training
+// path over the same kernels:
+//   * InferBatchInto is the only inference path. It is const, writes no
+//     member state (scratch is per-thread), and takes a leading batch
+//     dimension: rank 4 (B, C, H, W) for Conv2D, rank 3 (B, rows, in) for
+//     Linear, and the item shape plus one leading dim for elementwise/norm
+//     layers. A single item is a batch of one. It writes into a caller-owned
+//     output that keeps its storage when it already has the output shape,
+//     so a caller can ping-pong two buffers through a layer stack; the
+//     shape-preserving layers (activations, LayerNorm) also run in place.
+//     InferBatch is its value wrapper. Any number of threads may call them
+//     on the same layer concurrently as long as nothing mutates the
+//     parameters at the same time.
 //   * Forward/Backward MUTATE the layer (activation caches, MAC counters)
-//     and must only be used by a single thread — the training path.
-//   * Infer is const, writes no member state (scratch buffers are per-call
-//     locals), and is bit-identical to Forward. Any number of threads may
-//     call Infer on the same layer concurrently as long as nothing mutates
-//     the parameters at the same time.
-//   * InferBatch is const like Infer and takes a leading batch dimension
-//     (rank 4 (B, C, H, W) for Conv2D, rank 3 (B, rows, in) for Linear,
-//     Infer's shape plus one leading dim for elementwise/norm layers). It
-//     is REQUIRED to be bit-identical, per item, to slicing the batch and
-//     calling Infer item by item: every output element accumulates its
-//     k-products in the same ascending-k order on both paths. At batch = 1
-//     it therefore reduces exactly to Infer. The runtime micro-batching
-//     layer (runtime/batcher.h) depends on this to coalesce chunks from
-//     concurrent sessions without changing any session's emitted bits.
+//     and must only be used by a single thread — the training path. Forward
+//     runs the same kernel InferBatchInto runs, on one unbatched item.
+//   * InferBatchInto is REQUIRED to be bit-identical, per item, to Forward
+//     on that item alone: every output element accumulates its k-products
+//     in the same ascending-k order whatever the batch size. The runtime
+//     micro-batching layer (runtime/batcher.h) depends on this to coalesce
+//     chunks from concurrent sessions without changing any session's
+//     emitted bits.
 //
 // The LSTM layer exists for the VoiceFilter runtime baseline (Table II) and
 // implements forward only — the baseline is never trained in this repo.
@@ -58,14 +64,16 @@ class Layer {
   /// gradient with respect to the layer's input.
   virtual Tensor Backward(const Tensor& grad_output) = 0;
 
-  /// Cache-free const forward, bit-identical to Forward (see thread-safety
-  /// contract above). Layers without a shared-weight inference path (LSTM)
-  /// keep the throwing default.
-  virtual Tensor Infer(const Tensor& input) const;
+  /// Const forward over a leading batch dimension into `out`,
+  /// bit-identical per item to Forward (see contract above). `out` is
+  /// re-bound to the output shape unless it already has it, in which case
+  /// its storage is overwritten in place. `out` must not be `batch` except
+  /// for the shape-preserving layers. Layers without a shared-weight
+  /// inference path (LSTM) keep the throwing default.
+  virtual void InferBatchInto(const Tensor& batch, Tensor& out) const;
 
-  /// Batched const forward over a leading batch dimension, bit-identical
-  /// per item to looped Infer (see contract above). Throwing default.
-  virtual Tensor InferBatch(const Tensor& batch) const;
+  /// Value form of InferBatchInto.
+  Tensor InferBatch(const Tensor& batch) const;
 
   /// Learnable parameters (empty for activations).
   virtual std::vector<Param*> Params() { return {}; }
@@ -84,7 +92,7 @@ class Layer {
 /// "same" padding, independent dilation per axis. Height is the time axis
 /// and width the frequency axis in the selector's usage.
 ///
-/// Forward, Infer and InferBatch all run ONE direct kernel (ComputeInto):
+/// Forward and InferBatchInto both run ONE direct kernel (ComputeInto):
 /// a zero-padded input copy plus per-tap axpys vectorized over the width
 /// axis, each output element accumulating its K taps ascending in k. The
 /// im2col lowering survives only as Backward's gradient workspace. Sharing
@@ -100,9 +108,8 @@ class Conv2D : public Layer {
 
   Tensor Forward(const Tensor& input) override;
   Tensor Backward(const Tensor& grad_output) override;
-  Tensor Infer(const Tensor& input) const override;
   /// (B, C_in, H, W) -> (B, C_out, H, W).
-  Tensor InferBatch(const Tensor& batch) const override;
+  void InferBatchInto(const Tensor& batch, Tensor& out) const override;
   std::vector<Param*> Params() override { return {&weight_, &bias_}; }
   std::string Name() const override { return "Conv2D"; }
   std::size_t LastForwardMacs() const override { return last_macs_; }
@@ -140,9 +147,8 @@ class Linear : public Layer {
 
   Tensor Forward(const Tensor& input) override;
   Tensor Backward(const Tensor& grad_output) override;
-  Tensor Infer(const Tensor& input) const override;
   /// (B, rows, in) -> (B, rows, out); one GEMM over all B*rows rows.
-  Tensor InferBatch(const Tensor& batch) const override;
+  void InferBatchInto(const Tensor& batch, Tensor& out) const override;
   std::vector<Param*> Params() override { return {&weight_, &bias_}; }
   std::string Name() const override { return "Linear"; }
   std::size_t LastForwardMacs() const override { return last_macs_; }
@@ -169,8 +175,7 @@ class ReLU : public Layer {
  public:
   Tensor Forward(const Tensor& input) override;
   Tensor Backward(const Tensor& grad_output) override;
-  Tensor Infer(const Tensor& input) const override;
-  Tensor InferBatch(const Tensor& batch) const override;
+  void InferBatchInto(const Tensor& batch, Tensor& out) const override;
   std::string Name() const override { return "ReLU"; }
   std::size_t LastForwardMacs() const override { return last_elems_; }
 
@@ -184,8 +189,7 @@ class Sigmoid : public Layer {
  public:
   Tensor Forward(const Tensor& input) override;
   Tensor Backward(const Tensor& grad_output) override;
-  Tensor Infer(const Tensor& input) const override;
-  Tensor InferBatch(const Tensor& batch) const override;
+  void InferBatchInto(const Tensor& batch, Tensor& out) const override;
   std::string Name() const override { return "Sigmoid"; }
   std::size_t LastForwardMacs() const override { return last_elems_; }
 
@@ -199,8 +203,7 @@ class Tanh : public Layer {
  public:
   Tensor Forward(const Tensor& input) override;
   Tensor Backward(const Tensor& grad_output) override;
-  Tensor Infer(const Tensor& input) const override;
-  Tensor InferBatch(const Tensor& batch) const override;
+  void InferBatchInto(const Tensor& batch, Tensor& out) const override;
   std::string Name() const override { return "Tanh"; }
   std::size_t LastForwardMacs() const override { return last_elems_; }
 
@@ -221,8 +224,7 @@ class LayerNorm : public Layer {
 
   Tensor Forward(const Tensor& input) override;
   Tensor Backward(const Tensor& grad_output) override;
-  Tensor Infer(const Tensor& input) const override;
-  Tensor InferBatch(const Tensor& batch) const override;
+  void InferBatchInto(const Tensor& batch, Tensor& out) const override;
   std::vector<Param*> Params() override { return {&gain_, &bias_}; }
   std::string Name() const override { return "LayerNorm"; }
   std::size_t LastForwardMacs() const override { return last_elems_; }
@@ -249,8 +251,8 @@ class LayerNorm : public Layer {
 
 /// Unidirectional LSTM over a (T, input) sequence producing (T, hidden).
 /// Forward-only: used by the VoiceFilter baseline for runtime comparison.
-/// Keeps the throwing Infer/InferBatch defaults — the baseline never runs
-/// on the shared-weight concurrent path.
+/// Keeps the throwing InferBatchInto default — the baseline never runs on
+/// the shared-weight concurrent path.
 class Lstm : public Layer {
  public:
   Lstm(std::size_t input_size, std::size_t hidden_size, Rng& rng);
@@ -279,8 +281,7 @@ class Sequential {
 
   Tensor Forward(const Tensor& input);
   Tensor Backward(const Tensor& grad_output);
-  /// Const chains of the layers' Infer/InferBatch paths.
-  Tensor Infer(const Tensor& input) const;
+  /// Const chain of the layers' inference paths.
   Tensor InferBatch(const Tensor& batch) const;
   std::vector<Param*> Params();
   std::size_t size() const { return layers_.size(); }

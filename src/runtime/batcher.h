@@ -1,8 +1,8 @@
 // Continuous-batching scheduler for the shared-selector inference hot path.
 //
 // N concurrent sessions each produce ready 1 s chunks; dispatching each
-// chunk as its own Selector::Infer pays N full conv-stack launches over one
-// shared weight set. The ContinuousBatcher admits ready chunks into the
+// chunk as its own selector forward pays N full conv-stack launches over
+// one shared weight set. The ContinuousBatcher admits ready chunks into the
 // *next* batched forward as soon as a dispatch slot frees — there is no
 // coalescing hold window at all. A lone ready chunk dispatches immediately
 // as a batch of one; when the dispatcher is busy, chunks accumulate and the
@@ -31,8 +31,9 @@
 //
 // Determinism: admission order changes WHEN a chunk is processed, never
 // WHAT it emits — the batched forward is bit-identical per item to the
-// per-chunk path (see Selector::InferBatch), and per-lane FIFO + exclusive
-// claim mean each session's stream completes in submission order.
+// per-chunk path (see core::GenerateShadowBatchInto), and per-lane FIFO +
+// exclusive claim mean each session's stream completes in submission
+// order.
 //
 // Threading: Enqueue and Purge may be called from any number of pool
 // workers. Purge(key) removes every PENDING chunk of a key (drop-oldest

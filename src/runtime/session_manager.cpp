@@ -246,7 +246,9 @@ void SessionManager::RunStrandBatched(Session* s) {
         FaultInjector::Global().OnSite("strand.chunk", s->id);
         // First chunk of the take carries the wire flow (if any); the
         // batcher adopts it instead of minting a local id.
-        batcher_->Enqueue(s, s->proc.PopChunk(), std::exchange(flow, 0));
+        audio::Waveform chunk;
+        s->proc.PopChunkInto(chunk);
+        batcher_->Enqueue(s, std::move(chunk), std::exchange(flow, 0));
       }
     } catch (...) {
       FaultSession(s, ClassifyCurrentException());
@@ -335,8 +337,8 @@ bool SessionManager::ProcessOneChunk(
         continue;
       }
       if (attempts < fo.max_retries) {
-        // Regeneration is safe: CompleteShadowChunk (the only stream-state
-        // mutation) runs strictly after a successful generate.
+        // Regeneration is safe: CompleteShadowChunkInto (the only
+        // stream-state mutation) runs strictly after a successful generate.
         ++attempts;
         stats_.AddRetry();
         if (fo.retry_backoff_ms > 0.0) {
@@ -406,12 +408,14 @@ void SessionManager::RunBatch(std::vector<ContinuousBatcher::Item>&& items) {
     }
   }
 
-  std::vector<std::optional<audio::Waveform>> shadows(items.size());
+  // Slot j of the dispatcher's batch scratch serves neural[j].
+  thread_local BatchScratch batch;
+  while (batch.slots.size() < neural.size()) batch.slots.emplace_back();
   std::vector<std::optional<SessionError>> errors(items.size());
   double selector_ms_each = 0.0;
   if (!neural.empty()) {
     const auto tf = std::chrono::steady_clock::now();
-    GenerateShadowsBisect(items, neural, 0, neural.size(), shadows, errors);
+    GenerateShadowsBisect(items, neural, 0, neural.size(), batch, errors);
     // Attribute the batched shadow-generation wall time evenly across the
     // chunks it served, mirroring the per-chunk selector_ms accounting.
     selector_ms_each = MsSince(tf) / static_cast<double>(neural.size());
@@ -419,13 +423,15 @@ void SessionManager::RunBatch(std::vector<ContinuousBatcher::Item>&& items) {
 
   // Complete in admission order: per-session chunk order — and with it
   // the stream-wide modulation-reference latch — is part of the bits.
+  std::size_t slot = 0;
   for (std::size_t i = 0; i < items.size(); ++i) {
     Session* s = static_cast<Session*>(items[i].key);
     switch (route[i]) {
       case Route::kShed:
         stats_.AddSamplesDropped(items[i].chunk.size());
         break;
-      case Route::kBatched:
+      case Route::kBatched: {
+        const audio::Waveform& shadow = batch.slots[slot++].shadow;
         if (errors[i].has_value()) {
           // The bisection isolated this item as the poison.
           HandleGenerationError(s, std::move(items[i].chunk),
@@ -433,7 +439,7 @@ void SessionManager::RunBatch(std::vector<ContinuousBatcher::Item>&& items) {
           break;
         }
         try {
-          s->proc.CompleteShadowChunkInto(*shadows[i], selector_ms_each,
+          s->proc.CompleteShadowChunkInto(shadow, selector_ms_each,
                                           s->mod_buf);
           // Chunk latency keeps its PR 2 meaning — processing time, not
           // queue wait: batch dispatch start → this chunk's completion.
@@ -460,6 +466,7 @@ void SessionManager::RunBatch(std::vector<ContinuousBatcher::Item>&& items) {
           FaultSession(s, ClassifyCurrentException());
         }
         break;
+      }
       case Route::kSingle:
         // Degraded (or probing) session: generate on the claiming
         // dispatcher so completion order stays FIFO. ProcessOneChunk owns
@@ -480,7 +487,7 @@ void SessionManager::RunBatch(std::vector<ContinuousBatcher::Item>&& items) {
 void SessionManager::GenerateShadowsBisect(
     std::vector<ContinuousBatcher::Item>& items,
     const std::vector<std::size_t>& indices, std::size_t begin,
-    std::size_t end, std::vector<std::optional<audio::Waveform>>& shadows,
+    std::size_t end, BatchScratch& batch,
     std::vector<std::optional<SessionError>>& errors) {
   const std::size_t n = end - begin;
   if (n == 0) return;
@@ -492,15 +499,13 @@ void SessionManager::GenerateShadowsBisect(
       // Per-item injection site, hit inside the attempt so the bisection
       // isolates down to the single poisoned item.
       FaultInjector::Global().OnSite("batch.item", s->id);
-      requests[j] = core::ShadowBatchRequest{
-          .pipeline = &s->pipeline,
-          .mixed = &items[i].chunk,
-          .ws = &s->proc.stft_workspace()};
+      BatchScratch::Slot& slot = batch.slots[begin + j];
+      requests[j] = core::ShadowBatchRequest{.pipeline = &s->pipeline,
+                                             .mixed = &items[i].chunk,
+                                             .scratch = &slot.scratch,
+                                             .out = &slot.shadow};
     }
-    std::vector<audio::Waveform> out = core::GenerateShadowBatch(requests);
-    for (std::size_t j = 0; j < n; ++j) {
-      shadows[indices[begin + j]] = std::move(out[j]);
-    }
+    core::GenerateShadowBatchInto(requests, batch.arena);
   } catch (...) {
     if (n == 1) {
       errors[indices[begin]] = ClassifyCurrentException();
@@ -508,12 +513,12 @@ void SessionManager::GenerateShadowsBisect(
     }
     // A poisoned batch: split and retry each half. The batched forward is
     // bit-identical per item regardless of batch composition (see
-    // GenerateShadowBatch), so survivors' output is unchanged; cost is
+    // GenerateShadowBatchInto), so survivors' output is unchanged; cost is
     // O(log n) extra forwards for the poisoned item's neighborhood.
     stats_.AddBatchSplit();
     const std::size_t mid = begin + n / 2;
-    GenerateShadowsBisect(items, indices, begin, mid, shadows, errors);
-    GenerateShadowsBisect(items, indices, mid, end, shadows, errors);
+    GenerateShadowsBisect(items, indices, begin, mid, batch, errors);
+    GenerateShadowsBisect(items, indices, mid, end, batch, errors);
   }
 }
 

@@ -5,7 +5,8 @@
 // session wraps an enrolled NecPipeline + StreamingProcessor exactly like
 // the single-threaded path — sessions differ only in *who* is enrolled —
 // while all sessions share one immutable trained Selector/SpeakerEncoder
-// weight set via shared_ptr (Selector::Infer is const; see nn/layers.h).
+// weight set via shared_ptr (Selector inference is const; see
+// nn/layers.h).
 //
 // Concurrency model: per-session *strands* over a shared ThreadPool. Audio
 // submitted to a session lands in that session's inbox; at most one pool
@@ -360,14 +361,31 @@ class SessionManager {
   void GenerateShadowAtLevelInto(Session* session,
                                  const audio::Waveform& chunk,
                                  DegradeLevel level, audio::Waveform& out);
-  /// Batched forward over [begin, end) with bisection: a sub-batch that
-  /// throws is split until the poisoned item is isolated; its slot gets an
-  /// error instead of a shadow, every other slot completes normally.
-  void GenerateShadowsBisect(
-      std::vector<ContinuousBatcher::Item>& items,
-      const std::vector<std::size_t>& indices, std::size_t begin,
-      std::size_t end, std::vector<std::optional<audio::Waveform>>& shadows,
-      std::vector<std::optional<SessionError>>& errors);
+  /// Per-dispatcher-thread storage for batched shadow generation: one
+  /// slot (STFT workspace, spectrogram, shadow surface, shadow waveform)
+  /// per batch item, plus the arena the batch's selector intermediates
+  /// live in. It lives with the dispatcher, not the sessions: per-session
+  /// copies would multiply resident memory by the session count. A
+  /// std::deque, so growing never moves a slot (ShadowScratch holds a
+  /// non-movable Arena).
+  struct BatchScratch {
+    struct Slot {
+      core::ShadowScratch scratch;
+      audio::Waveform shadow;
+    };
+    core::Arena arena;
+    std::deque<Slot> slots;
+  };
+
+  /// Batched forward over indices[begin, end) with bisection: a sub-batch
+  /// that throws is split until the poisoned item is isolated; its slot in
+  /// `errors` (indexed like `items`) gets the error, every other item's
+  /// shadow lands in batch.slots[j] for indices[j].
+  void GenerateShadowsBisect(std::vector<ContinuousBatcher::Item>& items,
+                             const std::vector<std::size_t>& indices,
+                             std::size_t begin, std::size_t end,
+                             BatchScratch& batch,
+                             std::vector<std::optional<SessionError>>& errors);
 
   /// Applies the on_error policy to a chunk whose batched generation
   /// failed: step down the ladder and regenerate singly (kDegrade, so the

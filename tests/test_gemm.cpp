@@ -7,8 +7,6 @@
 
 #include "common/rng.h"
 #include "nn/gemm.h"
-#include "runtime/gemm_parallel.h"
-#include "runtime/thread_pool.h"
 
 namespace nec::nn {
 namespace {
@@ -128,96 +126,6 @@ TEST(Gemm, NTBetaAccumulates) {
   std::vector<float> c = {10.0f};
   GemmNT(a.data(), bt.data(), c.data(), 1, 1, 2, 1.0f, 1.0f);
   EXPECT_FLOAT_EQ(c[0], 21.0f);  // 10 + 1*3 + 2*4
-}
-
-// Row-panel parallel GEMM must be BIT-identical to serial: panels are cut
-// on MC-aligned rows so each row's tiling (and the NT kernel's 4-wide
-// unroll grouping) is the same whichever thread runs it. The fixture
-// installs a real runtime::ThreadPool behind the hook and opts this thread
-// in via GemmParallelScope — exactly the deployment wiring.
-class GemmParallelBitExact : public ::testing::Test {
- protected:
-  GemmParallelBitExact()
-      : pool_({.workers = 4, .queue_capacity = 64}) {
-    runtime::InstallGemmParallelFor(pool_);
-  }
-  ~GemmParallelBitExact() override { runtime::UninstallGemmParallelFor(); }
-
-  runtime::ThreadPool pool_;
-};
-
-TEST_F(GemmParallelBitExact, AllVariantsMatchSerialBitwise) {
-  // Above both parallel thresholds: M >= 2*MC = 128 rows and
-  // M*N*K = 300*64*128 > 2^21 multiply-adds.
-  const std::size_t M = 300, N = 64, K = 128;
-  Rng rng(4242);
-  const auto a = RandomMatrix(M * K, rng);
-  const auto b = RandomMatrix(K * N, rng);
-  std::vector<float> at(K * M), bt(N * K);
-  for (std::size_t i = 0; i < M; ++i) {
-    for (std::size_t k = 0; k < K; ++k) at[k * M + i] = a[i * K + k];
-  }
-  for (std::size_t k = 0; k < K; ++k) {
-    for (std::size_t j = 0; j < N; ++j) bt[j * K + k] = b[k * N + j];
-  }
-
-  std::vector<float> serial_nn(M * N, 0.0f), serial_nt(M * N, 0.0f),
-      serial_tn(M * N, 0.0f);
-  ASSERT_FALSE(GemmParallelActive());  // hook installed, but not opted in
-  GemmNN(a.data(), b.data(), serial_nn.data(), M, N, K);
-  GemmNT(a.data(), bt.data(), serial_nt.data(), M, N, K);
-  GemmTN(at.data(), b.data(), serial_tn.data(), M, N, K);
-
-  std::vector<float> par_nn(M * N, 0.0f), par_nt(M * N, 0.0f),
-      par_tn(M * N, 0.0f);
-  {
-    GemmParallelScope scope;
-    ASSERT_TRUE(GemmParallelActive());
-    GemmNN(a.data(), b.data(), par_nn.data(), M, N, K);
-    GemmNT(a.data(), bt.data(), par_nt.data(), M, N, K);
-    GemmTN(at.data(), b.data(), par_tn.data(), M, N, K);
-  }
-  ASSERT_FALSE(GemmParallelActive());
-
-  for (std::size_t i = 0; i < M * N; ++i) {
-    ASSERT_EQ(par_nn[i], serial_nn[i]) << "NN index " << i;
-    ASSERT_EQ(par_nt[i], serial_nt[i]) << "NT index " << i;
-    ASSERT_EQ(par_tn[i], serial_tn[i]) << "TN index " << i;
-  }
-}
-
-TEST_F(GemmParallelBitExact, BetaAccumulationSurvivesFanOut) {
-  const std::size_t M = 256, N = 80, K = 128;
-  Rng rng(99);
-  const auto a = RandomMatrix(M * K, rng);
-  const auto b = RandomMatrix(K * N, rng);
-  auto serial_c = RandomMatrix(M * N, rng);
-  auto par_c = serial_c;
-  GemmNN(a.data(), b.data(), serial_c.data(), M, N, K, 0.5f, 1.0f);
-  {
-    GemmParallelScope scope;
-    GemmNN(a.data(), b.data(), par_c.data(), M, N, K, 0.5f, 1.0f);
-  }
-  for (std::size_t i = 0; i < M * N; ++i) {
-    ASSERT_EQ(par_c[i], serial_c[i]) << "index " << i;
-  }
-}
-
-TEST(GemmParallel, ScopeWithoutHookStaysSerialAndCorrect) {
-  // Opting in with no hook installed must be a no-op, not a crash.
-  const std::size_t M = 160, N = 64, K = 256;
-  Rng rng(7);
-  const auto a = RandomMatrix(M * K, rng);
-  const auto b = RandomMatrix(K * N, rng);
-  std::vector<float> expect(M * N, 0.0f), got(M * N, 0.0f);
-  GemmNN(a.data(), b.data(), expect.data(), M, N, K);
-  {
-    GemmParallelScope scope;
-    GemmNN(a.data(), b.data(), got.data(), M, N, K);
-  }
-  for (std::size_t i = 0; i < M * N; ++i) {
-    ASSERT_EQ(got[i], expect[i]);
-  }
 }
 
 }  // namespace

@@ -357,8 +357,9 @@ TEST(LayerNorm, RejectsWrongFeatureDim) {
 // ------------------------------------------------------- batched inference
 //
 // InferBatch must be bit-identical, per item, to slicing the batch and
-// calling Infer item by item — the contract runtime micro-batching builds
-// on (layers.h). Randomized inputs, batch sizes 1 / 2 / 7.
+// running the training path's Forward item by item — the contract runtime
+// micro-batching builds on (layers.h). Randomized inputs, batch sizes
+// 1 / 2 / 7.
 
 Tensor RandomBatch(const std::vector<std::size_t>& item_shape,
                    std::size_t batch, std::uint64_t seed) {
@@ -378,16 +379,20 @@ Tensor SliceItem(const Tensor& batch, std::size_t b) {
   return item;
 }
 
-void ExpectBatchedMatchesLooped(const Layer& layer,
-                                const std::vector<std::size_t>& item_shape,
-                                std::uint64_t seed) {
+// Also checks the Into form's storage contract: a warm output holding stale
+// values is fully overwritten, and a shape-preserving layer (`in_place`)
+// gives the same bits when it runs on its own input.
+void ExpectBatchedMatchesForward(Layer& layer,
+                                 const std::vector<std::size_t>& item_shape,
+                                 std::uint64_t seed, bool in_place = false) {
+  const Layer& shared = layer;
   for (const std::size_t b : {1u, 2u, 7u}) {
     const Tensor batch = RandomBatch(item_shape, b, seed + b);
-    const Tensor out = layer.InferBatch(batch);
+    const Tensor out = shared.InferBatch(batch);
     ASSERT_EQ(out.dim(0), b);
     std::size_t off = 0;
     for (std::size_t i = 0; i < b; ++i) {
-      const Tensor one = layer.Infer(SliceItem(batch, i));
+      const Tensor one = layer.Forward(SliceItem(batch, i));
       for (std::size_t j = 0; j < one.numel(); ++j, ++off) {
         ASSERT_EQ(out[off], one[j])
             << layer.Name() << " batch=" << b << " item=" << i
@@ -395,39 +400,58 @@ void ExpectBatchedMatchesLooped(const Layer& layer,
       }
     }
     ASSERT_EQ(off, out.numel());
+
+    Tensor warm(out.shape());
+    warm.Fill(-7.0f);
+    const float* storage = warm.data();
+    shared.InferBatchInto(batch, warm);
+    ASSERT_EQ(warm.data(), storage) << layer.Name() << " re-bound a warm out";
+    for (std::size_t j = 0; j < out.numel(); ++j) {
+      ASSERT_EQ(warm[j], out[j]) << layer.Name() << " warm elem=" << j;
+    }
+    if (in_place) {
+      Tensor x = batch;
+      shared.InferBatchInto(x, x);
+      for (std::size_t j = 0; j < out.numel(); ++j) {
+        ASSERT_EQ(x[j], out[j]) << layer.Name() << " in-place elem=" << j;
+      }
+    }
   }
 }
 
-TEST(InferBatch, Conv2DBitExactVsLoopedInfer) {
+TEST(InferBatch, Conv2DBitExactVsForward) {
   Rng rng(70);
   Conv2D plain(2, 3, 3, 3, 1, 1, rng);
-  ExpectBatchedMatchesLooped(plain, {2, 6, 5}, 700);
+  ExpectBatchedMatchesForward(plain, {2, 6, 5}, 700);
   Conv2D dilated(3, 2, 5, 1, 4, 1, rng);  // selector-style time dilation
-  ExpectBatchedMatchesLooped(dilated, {3, 12, 7}, 701);
+  ExpectBatchedMatchesForward(dilated, {3, 12, 7}, 701);
   Conv2D wide(1, 4, 1, 7, 1, 1, rng);
-  ExpectBatchedMatchesLooped(wide, {1, 4, 11}, 702);
+  ExpectBatchedMatchesForward(wide, {1, 4, 11}, 702);
 }
 
-TEST(InferBatch, LinearBitExactVsLoopedInfer) {
+TEST(InferBatch, LinearBitExactVsForward) {
   Rng rng(71);
   Linear fc(9, 4, rng);
-  ExpectBatchedMatchesLooped(fc, {5, 9}, 710);
+  ExpectBatchedMatchesForward(fc, {5, 9}, 710);
   Linear single(3, 6, rng);
-  ExpectBatchedMatchesLooped(single, {1, 3}, 711);
+  ExpectBatchedMatchesForward(single, {1, 3}, 711);
 }
 
-TEST(InferBatch, ActivationsBitExactVsLoopedInfer) {
-  ExpectBatchedMatchesLooped(ReLU(), {3, 4, 5}, 720);
-  ExpectBatchedMatchesLooped(Sigmoid(), {2, 9}, 721);
-  ExpectBatchedMatchesLooped(Tanh(), {6, 7}, 722);
+TEST(InferBatch, ActivationsBitExactVsForward) {
+  ReLU relu;
+  ExpectBatchedMatchesForward(relu, {3, 4, 5}, 720, /*in_place=*/true);
+  Sigmoid sigmoid;
+  ExpectBatchedMatchesForward(sigmoid, {2, 9}, 721, /*in_place=*/true);
+  Tanh tanh;
+  ExpectBatchedMatchesForward(tanh, {6, 7}, 722, /*in_place=*/true);
 }
 
-TEST(InferBatch, LayerNormBitExactVsLoopedInfer) {
+TEST(InferBatch, LayerNormBitExactVsForward) {
   Rng rng(73);
   LayerNorm ln(8);
   ln.gain().value = Tensor::Randn({8}, rng, 0.5f);
   ln.bias().value = Tensor::Randn({8}, rng, 0.5f);
-  ExpectBatchedMatchesLooped(ln, {4, 8}, 730);
+  ExpectBatchedMatchesForward(ln, {4, 8}, 730, /*in_place=*/true);
 }
 
 TEST(InferBatch, MatchesForwardBitExact) {
@@ -459,7 +483,6 @@ TEST(InferBatch, RejectsMissingBatchDim) {
 TEST(InferBatch, LstmKeepsThrowingDefault) {
   Rng rng(76);
   Lstm lstm(2, 3, rng);
-  EXPECT_THROW(lstm.Infer(Tensor({4, 2})), CheckError);
   EXPECT_THROW(lstm.InferBatch(Tensor({2, 4, 2})), CheckError);
 }
 
@@ -475,7 +498,7 @@ TEST(InferBatch, SequentialChains) {
   const Tensor out = shared.InferBatch(batch);
   std::size_t off = 0;
   for (std::size_t i = 0; i < 4; ++i) {
-    const Tensor one = shared.Infer(SliceItem(batch, i));
+    const Tensor one = seq.Forward(SliceItem(batch, i));
     for (std::size_t j = 0; j < one.numel(); ++j, ++off) {
       ASSERT_EQ(out[off], one[j]);
     }

@@ -13,6 +13,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <array>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
@@ -24,6 +25,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "common/rng.h"
 #include "core/selector.h"
 #include "encoder/encoder.h"
 #include "net/auth.h"
@@ -49,6 +51,40 @@ TEST(Crc32, KnownAnswers) {
   EXPECT_EQ(Crc32(reinterpret_cast<const std::uint8_t*>(check), 9),
             0xCBF43926u);
   EXPECT_EQ(Crc32(nullptr, 0), 0u);
+}
+
+// The textbook byte-at-a-time table loop: the reference the sliced
+// implementation must reproduce.
+std::uint32_t BytewiseCrc32(const std::uint8_t* data, std::size_t size) {
+  std::array<std::uint32_t, 256> table{};
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t c = i;
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+    table[i] = c;
+  }
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < size; ++i) {
+    crc = table[(crc ^ data[i]) & 0xFFu] ^ (crc >> 8);
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32, MatchesBytewiseReferenceAtEveryLengthAndOffset) {
+  // Lengths 0-80 cover the empty input, the pure tail loop (< 8 bytes) and
+  // every tail length after whole 8-byte steps; offsets 0-7 start the
+  // sliced loads at every alignment.
+  Rng rng(4242);
+  std::vector<std::uint8_t> buf(96);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng.UniformInt(0, 255));
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 80; ++len) {
+      ASSERT_EQ(Crc32(buf.data() + offset, len),
+                BytewiseCrc32(buf.data() + offset, len))
+          << "offset " << offset << " length " << len;
+    }
+  }
 }
 
 Frame MakeFrame(FrameType type, std::uint64_t sid,

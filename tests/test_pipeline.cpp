@@ -115,8 +115,9 @@ TEST_F(PipelineTest, ModulatedShadowIsUltrasonic) {
   Enroll();
   const auto inst = builder_.MakeInstance(
       spks_[0], synth::Scenario::kJointConversation, 5, &spks_[1]);
-  const audio::Waveform mod = pipeline_.GenerateModulatedShadow(
-      inst.mixed, SelectorKind::kLasMask);
+  const audio::Waveform mod = channel::ModulateAm(
+      pipeline_.GenerateShadow(inst.mixed, SelectorKind::kLasMask),
+      pipeline_.options().modulation);
   EXPECT_EQ(mod.sample_rate(), channel::kAirSampleRate);
   EXPECT_GT(mod.size(), inst.mixed.size() * 10);  // 12x rate
   EXPECT_LE(mod.Peak(), 1.0f);
@@ -127,7 +128,7 @@ TEST_F(PipelineTest, EncoderSelectorDimMismatchRejected) {
   EXPECT_THROW(NecPipeline(Selector(cfg_, 3), enc40, {}), nec::CheckError);
 }
 
-TEST_F(PipelineTest, GenerateShadowBatchMatchesPerItemBitExact) {
+TEST_F(PipelineTest, GenerateShadowBatchIntoMatchesPerItemBitExact) {
   // Sessions sharing one weight set (the runtime path) get coalesced into
   // one batched selector forward; each session's shadow must keep the exact
   // bits of its solo GenerateShadow.
@@ -144,12 +145,18 @@ TEST_F(PipelineTest, GenerateShadowBatchMatchesPerItemBitExact) {
                                        50 + i, &spks_[(i + 1) % 2])
                          .mixed);
   }
+  std::vector<ShadowScratch> scratch(3);
+  std::vector<audio::Waveform> batched(3);
   std::vector<ShadowBatchRequest> reqs;
   for (std::size_t i = 0; i < 3; ++i) {
-    reqs.push_back({.pipeline = pipes[i].get(), .mixed = &chunks[i]});
+    reqs.push_back({.pipeline = pipes[i].get(),
+                    .mixed = &chunks[i],
+                    .scratch = &scratch[i],
+                    .out = &batched[i]});
   }
-  const std::vector<audio::Waveform> batched = GenerateShadowBatch(reqs);
-  ASSERT_EQ(batched.size(), 3u);
+  Arena arena;
+  GenerateShadowBatchInto(reqs, arena);
+  EXPECT_EQ(arena.InUse(), 0u);  // the batch rewinds its arena
   for (std::size_t i = 0; i < 3; ++i) {
     const audio::Waveform solo = pipes[i]->GenerateShadow(chunks[i]);
     ASSERT_EQ(batched[i].size(), solo.size());
@@ -160,7 +167,7 @@ TEST_F(PipelineTest, GenerateShadowBatchMatchesPerItemBitExact) {
   }
 }
 
-TEST_F(PipelineTest, GenerateShadowBatchRejectsBadBatches) {
+TEST_F(PipelineTest, GenerateShadowBatchIntoRejectsBadBatches) {
   auto shared = std::make_shared<const Selector>(Selector(cfg_, 7));
   NecPipeline a(shared, encoder_);
   NecPipeline other(Selector(cfg_, 8), encoder_);  // different weight set
@@ -171,25 +178,35 @@ TEST_F(PipelineTest, GenerateShadowBatchRejectsBadBatches) {
   const audio::Waveform& chunk = inst.mixed;
   const audio::Waveform shorter = chunk.Slice(0, chunk.size() / 2);
 
-  EXPECT_THROW(GenerateShadowBatch({}), nec::CheckError);
+  ShadowScratch s0, s1;
+  audio::Waveform o0, o1;
+  Arena arena;
+  EXPECT_THROW(GenerateShadowBatchInto({}, arena), nec::CheckError);
   {
     std::vector<ShadowBatchRequest> reqs{
-        {.pipeline = &a, .mixed = &chunk},
-        {.pipeline = &other, .mixed = &chunk}};
-    EXPECT_THROW(GenerateShadowBatch(reqs), nec::CheckError);
+        {.pipeline = &a, .mixed = &chunk, .scratch = &s0, .out = &o0},
+        {.pipeline = &other, .mixed = &chunk, .scratch = &s1, .out = &o1}};
+    EXPECT_THROW(GenerateShadowBatchInto(reqs, arena), nec::CheckError);
   }
   {
     std::vector<ShadowBatchRequest> reqs{
-        {.pipeline = &a, .mixed = &chunk},
-        {.pipeline = &a, .mixed = &shorter}};
-    EXPECT_THROW(GenerateShadowBatch(reqs), nec::CheckError);
+        {.pipeline = &a, .mixed = &chunk, .scratch = &s0, .out = &o0},
+        {.pipeline = &a, .mixed = &shorter, .scratch = &s1, .out = &o1}};
+    EXPECT_THROW(GenerateShadowBatchInto(reqs, arena), nec::CheckError);
   }
   {
     NecPipeline unenrolled(shared, encoder_);
     std::vector<ShadowBatchRequest> reqs{
-        {.pipeline = &unenrolled, .mixed = &chunk}};
-    EXPECT_THROW(GenerateShadowBatch(reqs), nec::CheckError);
+        {.pipeline = &unenrolled, .mixed = &chunk, .scratch = &s0,
+         .out = &o0}};
+    EXPECT_THROW(GenerateShadowBatchInto(reqs, arena), nec::CheckError);
   }
+  {
+    std::vector<ShadowBatchRequest> reqs{
+        {.pipeline = &a, .mixed = &chunk}};  // no scratch / output
+    EXPECT_THROW(GenerateShadowBatchInto(reqs, arena), nec::CheckError);
+  }
+  EXPECT_EQ(arena.InUse(), 0u);  // a rejected batch rewinds its arena too
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 // serialization.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <filesystem>
 
@@ -49,64 +50,99 @@ TEST(Selector, OutputShapeMatchesInput) {
   EXPECT_EQ(out.dim(1), cfg.num_bins());
 }
 
-TEST(Selector, InferMatchesForwardBitExact) {
-  // Infer is the const, cache-free twin of Forward that nec::runtime
-  // sessions run concurrently on shared weights; the two paths must never
-  // diverge by even one ulp.
+dsp::Spectrogram RandomSpectrogram(std::size_t T, std::size_t F,
+                                   std::uint64_t seed) {
+  Rng rng(seed);
+  dsp::Spectrogram spec(T, F);
+  for (auto& m : spec.mag()) m = std::abs(rng.GaussianF(0.0f, 0.5f));
+  return spec;
+}
+
+std::vector<float> ComputeShadowValue(const Selector& sel,
+                                      const dsp::Spectrogram& spec,
+                                      const std::vector<float>& dvec) {
+  std::vector<float> out;
+  sel.ComputeShadowInto(spec, dvec, out);
+  return out;
+}
+
+// The reference the inference path must match bit for bit: the training
+// path's Forward wrapped in ComputeShadowInto's per-instance gain
+// normalization.
+std::vector<float> ForwardShadow(Selector& sel, const dsp::Spectrogram& spec,
+                                 const std::vector<float>& dvec) {
+  const std::vector<float>& mag = spec.mag();
+  double acc = 0.0;
+  for (float m : mag) acc += static_cast<double>(m) * m;
+  const float rms = static_cast<float>(
+      std::sqrt(acc / std::max<std::size_t>(1, mag.size())));
+  const float gain = rms > 1e-9f ? 1.0f / rms : 1.0f;
+  nn::Tensor in({spec.num_frames(), spec.num_bins()});
+  for (std::size_t i = 0; i < in.numel(); ++i) in[i] = mag[i] * gain;
+  const nn::Tensor shadow = sel.Forward(in, dvec, false);
+  std::vector<float> out(shadow.numel());
+  for (std::size_t i = 0; i < out.size(); ++i) out[i] = shadow[i] / gain;
+  return out;
+}
+
+TEST(Selector, ComputeShadowIntoMatchesForwardBitExact) {
+  // ComputeShadowInto is the const, cache-free path nec::runtime sessions
+  // run concurrently on shared weights; it must never diverge from the
+  // training path's Forward by even one ulp.
   const NecConfig cfg = TinyConfig();
   Selector sel(cfg);
   const auto dvec = RandomDvec(cfg.embedding_dim, 21);
   for (std::size_t T : {1u, 7u, 24u}) {
-    const nn::Tensor in = RandomSpec(T, cfg.num_bins(), 90 + T);
-    const nn::Tensor fwd = sel.Forward(in, dvec, false);
+    const dsp::Spectrogram spec = RandomSpectrogram(T, cfg.num_bins(), 90 + T);
+    const std::vector<float> fwd = ForwardShadow(sel, spec, dvec);
     const Selector& shared = sel;  // const access only, as the runtime sees it
-    const nn::Tensor inf = shared.Infer(in, dvec);
-    ASSERT_EQ(fwd.numel(), inf.numel());
-    for (std::size_t i = 0; i < fwd.numel(); ++i) {
+    const std::vector<float> inf = ComputeShadowValue(shared, spec, dvec);
+    ASSERT_EQ(fwd.size(), inf.size());
+    for (std::size_t i = 0; i < fwd.size(); ++i) {
       ASSERT_EQ(fwd[i], inf[i]) << "T=" << T << " i=" << i;
     }
   }
 }
 
-TEST(Selector, InferWritesNoObservableState) {
-  // Running Infer between a Forward and its MAC query must not disturb the
-  // training-path bookkeeping.
+TEST(Selector, ComputeShadowIntoWritesNoObservableState) {
+  // Running inference between a Forward and its MAC query must not disturb
+  // the training-path bookkeeping.
   const NecConfig cfg = TinyConfig();
   Selector sel(cfg);
   const auto dvec = RandomDvec(cfg.embedding_dim, 22);
   sel.Forward(RandomSpec(6, cfg.num_bins(), 70), dvec, false);
   const std::size_t macs_before = sel.LastForwardMacs();
   const Selector& shared = sel;
-  shared.Infer(RandomSpec(30, cfg.num_bins(), 71), dvec);
+  ComputeShadowValue(shared, RandomSpectrogram(30, cfg.num_bins(), 71), dvec);
   EXPECT_EQ(sel.LastForwardMacs(), macs_before);
 }
 
-TEST(Selector, InferBatchMatchesLoopedInferBitExact) {
-  // The micro-batching coalescer (runtime/batcher.h) replaces N Infer calls
-  // with one InferBatch; every session's shadow must keep its exact bits.
+TEST(Selector, ComputeShadowBatchMatchesForwardBitExact) {
+  // The micro-batching dispatcher (runtime/batcher.h) replaces N per-chunk
+  // forwards with one batch; every session's shadow must keep its exact
+  // bits.
   const NecConfig cfg = TinyConfig();
   Selector sel(cfg, 61);
   const Selector& shared = sel;
   for (const std::size_t B : {1u, 2u, 7u}) {
-    std::vector<nn::Tensor> mags;
+    std::vector<dsp::Spectrogram> specs;
     std::vector<std::vector<float>> dvecs;
     for (std::size_t b = 0; b < B; ++b) {
-      mags.push_back(RandomSpec(11, cfg.num_bins(), 600 + 10 * B + b));
+      specs.push_back(RandomSpectrogram(11, cfg.num_bins(), 600 + 10 * B + b));
       dvecs.push_back(RandomDvec(cfg.embedding_dim, 900 + 10 * B + b));
     }
-    std::vector<const nn::Tensor*> mag_ptrs;
+    std::vector<const dsp::Spectrogram*> spec_ptrs;
     std::vector<const std::vector<float>*> dvec_ptrs;
     for (std::size_t b = 0; b < B; ++b) {
-      mag_ptrs.push_back(&mags[b]);
+      spec_ptrs.push_back(&specs[b]);
       dvec_ptrs.push_back(&dvecs[b]);
     }
-    const std::vector<nn::Tensor> batched =
-        shared.InferBatch(mag_ptrs, dvec_ptrs);
+    const auto batched = shared.ComputeShadowBatch(spec_ptrs, dvec_ptrs);
     ASSERT_EQ(batched.size(), B);
     for (std::size_t b = 0; b < B; ++b) {
-      const nn::Tensor one = shared.Infer(mags[b], dvecs[b]);
-      ASSERT_EQ(batched[b].numel(), one.numel());
-      for (std::size_t i = 0; i < one.numel(); ++i) {
+      const std::vector<float> one = ForwardShadow(sel, specs[b], dvecs[b]);
+      ASSERT_EQ(batched[b].size(), one.size());
+      for (std::size_t i = 0; i < one.size(); ++i) {
         ASSERT_EQ(batched[b][i], one[i])
             << "B=" << B << " item=" << b << " i=" << i;
       }
@@ -114,23 +150,21 @@ TEST(Selector, InferBatchMatchesLoopedInferBitExact) {
   }
 }
 
-TEST(Selector, InferBatchHandlesDistinctDvectorsPerItem) {
+TEST(Selector, ComputeShadowBatchHandlesDistinctDvectorsPerItem) {
   // Items with different speaker conditioning must not bleed into each
   // other: item i's batched output equals its solo output even when the
   // neighbours carry very different d-vectors.
   const NecConfig cfg = TinyConfig();
   Selector sel(cfg, 62);
-  const nn::Tensor mag = RandomSpec(8, cfg.num_bins(), 620);
+  const dsp::Spectrogram spec = RandomSpectrogram(8, cfg.num_bins(), 620);
   const auto d1 = RandomDvec(cfg.embedding_dim, 621);
   auto d2 = d1;
   for (float& v : d2) v = -3.0f * v;
-  const std::vector<const nn::Tensor*> mags{&mag, &mag};
-  const std::vector<const std::vector<float>*> dvecs{&d1, &d2};
-  const auto batched = sel.InferBatch(mags, dvecs);
-  const nn::Tensor solo1 = sel.Infer(mag, d1);
-  const nn::Tensor solo2 = sel.Infer(mag, d2);
+  const auto batched = sel.ComputeShadowBatch({&spec, &spec}, {&d1, &d2});
+  const std::vector<float> solo1 = ComputeShadowValue(sel, spec, d1);
+  const std::vector<float> solo2 = ComputeShadowValue(sel, spec, d2);
   double diff = 0.0;
-  for (std::size_t i = 0; i < solo1.numel(); ++i) {
+  for (std::size_t i = 0; i < solo1.size(); ++i) {
     ASSERT_EQ(batched[0][i], solo1[i]);
     ASSERT_EQ(batched[1][i], solo2[i]);
     diff += std::abs(static_cast<double>(solo1[i]) - solo2[i]);
@@ -138,20 +172,21 @@ TEST(Selector, InferBatchHandlesDistinctDvectorsPerItem) {
   EXPECT_GT(diff, 1e-3);  // the conditioning actually differed
 }
 
-TEST(Selector, InferBatchRejectsMismatchedInputs) {
+TEST(Selector, ComputeShadowBatchRejectsMismatchedInputs) {
   const NecConfig cfg = TinyConfig();
   Selector sel(cfg, 63);
-  const nn::Tensor a = RandomSpec(6, cfg.num_bins(), 630);
-  const nn::Tensor b = RandomSpec(7, cfg.num_bins(), 631);  // frame mismatch
+  const dsp::Spectrogram a = RandomSpectrogram(6, cfg.num_bins(), 630);
+  // Frame mismatch.
+  const dsp::Spectrogram b = RandomSpectrogram(7, cfg.num_bins(), 631);
   const auto d = RandomDvec(cfg.embedding_dim, 632);
-  EXPECT_THROW(sel.InferBatch({&a, &b}, {&d, &d}), nec::CheckError);
-  EXPECT_THROW(sel.InferBatch({}, {}), nec::CheckError);
-  EXPECT_THROW(sel.InferBatch({&a, &a}, {&d}), nec::CheckError);
+  EXPECT_THROW(sel.ComputeShadowBatch({&a, &b}, {&d, &d}), nec::CheckError);
+  EXPECT_THROW(sel.ComputeShadowBatch({}, {}), nec::CheckError);
+  EXPECT_THROW(sel.ComputeShadowBatch({&a, &a}, {&d}), nec::CheckError);
 }
 
-TEST(Selector, ComputeShadowBatchMatchesLoopedComputeShadow) {
-  // ComputeShadowBatch layers the per-instance gain normalization on top of
-  // InferBatch; it must reproduce ComputeShadow bit-for-bit per item.
+TEST(Selector, ComputeShadowBatchMatchesLoopedComputeShadowInto) {
+  // ComputeShadowInto is the batched core at B = 1; it must reproduce the
+  // matching item of a larger batch bit-for-bit.
   const NecConfig cfg = TinyConfig();
   Selector sel(cfg, 64);
   Rng rng(640);
@@ -172,7 +207,7 @@ TEST(Selector, ComputeShadowBatchMatchesLoopedComputeShadow) {
   const auto batched = sel.ComputeShadowBatch(spec_ptrs, dvec_ptrs);
   ASSERT_EQ(batched.size(), 3u);
   for (std::size_t b = 0; b < 3; ++b) {
-    const auto one = sel.ComputeShadow(specs[b], dvecs[b]);
+    const auto one = ComputeShadowValue(sel, specs[b], dvecs[b]);
     ASSERT_EQ(batched[b].size(), one.size());
     for (std::size_t i = 0; i < one.size(); ++i) {
       ASSERT_EQ(batched[b][i], one[i]) << "item=" << b << " i=" << i;
@@ -315,10 +350,10 @@ TEST(Selector, ComputeShadowIsGainEquivariant) {
   for (auto& m : spec.mag()) m = std::abs(rng.GaussianF(0.0f, 0.4f));
   const auto dvec = RandomDvec(cfg.embedding_dim, 43);
 
-  const auto shadow1 = sel.ComputeShadow(spec, dvec);
+  const auto shadow1 = ComputeShadowValue(sel, spec, dvec);
   dsp::Spectrogram scaled = spec;
   for (auto& m : scaled.mag()) m *= 2.5f;
-  const auto shadow2 = sel.ComputeShadow(scaled, dvec);
+  const auto shadow2 = ComputeShadowValue(sel, scaled, dvec);
   for (std::size_t i = 0; i < shadow1.size(); i += 17) {
     EXPECT_NEAR(shadow2[i], 2.5f * shadow1[i],
                 2e-2f * (1.0f + std::abs(shadow1[i])));

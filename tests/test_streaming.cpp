@@ -3,6 +3,7 @@
 
 #include <memory>
 
+#include "channel/modulation.h"
 #include "common/check.h"
 #include "core/streaming.h"
 #include "synth/dataset.h"
@@ -207,6 +208,34 @@ TEST_F(StreamingTest, LatchedGainMatchesExplicitReferencePeak) {
   ASSERT_EQ(a->size(), b->size());
   for (std::size_t i = 0; i < a->size(); ++i) {
     ASSERT_EQ((*a)[i], (*b)[i]) << "sample " << i;
+  }
+}
+
+TEST_F(StreamingTest, GenerateShadowMatchesProcessChunkInto) {
+  // The offline value wrapper and the per-chunk serving path run one
+  // shadow path: GenerateShadow + AM modulation at the stream's latched
+  // reference must reproduce ProcessChunkInto bit for bit, chunk by chunk.
+  const auto utt = builder_.MakeUtterance(spk_, 9);
+  for (const SelectorKind kind :
+       {SelectorKind::kNeural, SelectorKind::kLasMask}) {
+    StreamingProcessor proc(pipeline_, 1.0, kind);
+    const std::size_t n = proc.chunk_samples();
+    channel::ModulationConfig mod = pipeline_.options().modulation;
+    audio::Waveform out;
+    for (std::size_t k = 0; (k + 1) * n <= utt.wave.size(); ++k) {
+      const audio::Waveform chunk = utt.wave.Slice(k * n, n);
+      const audio::Waveform shadow = pipeline_.GenerateShadow(chunk, kind);
+      if (mod.reference_peak <= 0.0 && shadow.Peak() > 0.0f) {
+        mod.reference_peak = shadow.Peak();
+      }
+      const audio::Waveform expected = channel::ModulateAm(shadow, mod);
+      proc.ProcessChunkInto(chunk, out);
+      ASSERT_EQ(out.size(), expected.size());
+      for (std::size_t i = 0; i < out.size(); ++i) {
+        ASSERT_EQ(out[i], expected[i]) << "chunk " << k << " sample " << i;
+      }
+    }
+    EXPECT_GE(proc.timings().chunks, 2u);
   }
 }
 

@@ -19,10 +19,11 @@
 #                                    # audit: bench_runtime_throughput with
 #                                    # the counting operator-new hook must
 #                                    # record 0 mallocs/chunk after warmup
-#                                    # on the arena/Into path, and the
-#                                    # `alloc` JSON section (smoke + the
-#                                    # committed BENCH_hotpath.json) must
-#                                    # carry honest before/after counts
+#                                    # on both the single-chunk and the
+#                                    # batched (max_batch=4) shadow path,
+#                                    # and the `alloc` JSON section (smoke +
+#                                    # the committed BENCH_hotpath.json)
+#                                    # must carry honest counts
 #   CHECK_NET=1 tools/check.sh       # also run the wire-codec + v2 payload
 #                                    # fuzz tests under ASan+UBSan, boot an
 #                                    # AUTHENTICATED 2-shard fleet + router
@@ -206,13 +207,13 @@ EOF
 fi
 
 if [[ "${ALLOC}" == "1" ]]; then
-  step "allocation audit: zero-malloc steady state on the arena/Into path"
+  step "allocation audit: zero-malloc steady state, single and batched"
   # bench_runtime_throughput links bench/alloc_hook.cpp (counting operator
-  # new/delete). It runs the same chunk workload down both arms — the
-  # legacy value-returning path and the arena/Into path used by runtime
-  # strands — and exits non-zero unless the arena arm performs exactly 0
-  # heap allocations per chunk after warmup. The validator then re-checks
-  # the emitted `alloc` JSON section for honest before/after accounting,
+  # new/delete). It runs the same chunk workload down both arms of the one
+  # shadow path — the single-chunk path of the unbatched strands and the
+  # batched path a dispatcher runs at max_batch=4 — and exits non-zero
+  # unless each performs exactly 0 heap allocations per chunk after
+  # warmup. The validator then re-checks the emitted `alloc` JSON section,
   # and the committed BENCH_hotpath.json for the same contract.
   ALLOC_JSON="build-check-release/BENCH_alloc_smoke.json"
   rm -f "${ALLOC_JSON}"
@@ -226,30 +227,33 @@ with open(sys.argv[1]) as f:
     doc = json.load(f)
 assert "alloc" in doc, "missing `alloc` section"
 al = doc["alloc"]
-for k in ("warmup_chunks", "measured_chunks", "before", "after",
-          "zero_alloc_steady_state"):
+for k in ("warmup_chunks", "measured_chunks", "setup_allocs", "single",
+          "batched", "zero_alloc_steady_state"):
     assert k in al, f"alloc section missing {k!r}"
 assert al["warmup_chunks"] >= 1, "alloc audit ran without warmup"
 assert al["measured_chunks"] >= 1, "alloc audit measured no chunks"
-for arm in ("before", "after"):
+for arm in ("single", "batched"):
     for k in ("path", "total_allocs", "allocs_per_chunk"):
         assert k in al[arm], f"alloc.{arm} missing {k!r}"
-# Honest before/after accounting: the legacy arm must show the allocations
-# the refactor removed (otherwise the hook is not counting), and the
-# arena/Into arm must be exactly zero — not "small", zero.
-assert al["before"]["total_allocs"] > 0, \
-    "legacy arm recorded 0 allocs — counting hook not engaged"
-assert al["after"]["total_allocs"] == 0, \
-    f"arena path allocated: {al['after']['total_allocs']} allocs"
-assert al["after"]["allocs_per_chunk"] == 0, \
-    f"arena path allocs/chunk = {al['after']['allocs_per_chunk']}"
+assert al["batched"].get("max_batch") == 4, \
+    "batched arm must run the replay batch size (max_batch=4)"
+# Proof the hook counts: enrolling the audited pipelines allocates, so a
+# zero here means the counter is not engaged and the zeros below are void.
+assert al["setup_allocs"] > 0, \
+    "enrollment recorded 0 allocs — counting hook not engaged"
+# Both arms must be exactly zero — not "small", zero.
+for arm in ("single", "batched"):
+    assert al[arm]["total_allocs"] == 0, \
+        f"{arm} path allocated: {al[arm]['total_allocs']} allocs"
+    assert al[arm]["allocs_per_chunk"] == 0, \
+        f"{arm} path allocs/chunk = {al[arm]['allocs_per_chunk']}"
 assert al["zero_alloc_steady_state"] is True, \
     "zero_alloc_steady_state flag not set"
 if committed:
     assert not al.get("smoke"), "committed alloc section is smoke data"
 print(("committed" if committed else "alloc smoke") +
-      f": 0 mallocs/chunk on the arena path "
-      f"(legacy arm: {al['before']['allocs_per_chunk']:.1f}/chunk)")
+      ": 0 mallocs/chunk on the single-chunk and batched paths "
+      f"(enrollment: {al['setup_allocs']:.0f} allocs)")
 EOF
   }
   alloc_validate "${ALLOC_JSON}" smoke
