@@ -6,6 +6,7 @@
 
 #include "common/check.h"
 #include "dsp/biquad.h"
+#include "dsp/polyphase.h"
 #include "dsp/resample.h"
 
 namespace nec::channel {
@@ -19,26 +20,44 @@ void ModulateAmInto(const audio::Waveform& baseband,
                            << " Hz outside the inaudible/supported band");
   NEC_CHECK_MSG(config.alpha > 0.0, "alpha must be positive");
 
-  dsp::ResampleInto(baseband, config.air_sample_rate, plan, out);
+  // The carrier is the same array for every chunk (the sample index
+  // restarts at 0), so it is read from the process-wide table, bound into
+  // the plan once per stream.
+  if (!plan.carrier || plan.carrier->hz != config.carrier_hz ||
+      plan.carrier->rate != config.air_sample_rate) {
+    plan.carrier =
+        dsp::GetCosineTable(config.carrier_hz, config.air_sample_rate);
+  }
+  const dsp::CosineTable& carrier = *plan.carrier;
+  const double alpha = config.alpha;
+  const double norm = config.peak / (1.0 + config.alpha);
+  const auto emit = [&](float m, std::size_t i) {
+    return static_cast<float>(
+        (static_cast<double>(m) + alpha) * carrier.At(i) * norm);
+  };
+
   if (config.reference_peak > 0.0) {
     // Fixed stream-wide gain: every chunk of a stream maps amplitude to
     // envelope identically, so the emitted power coefficient is stable.
     // Resampler overshoot (or chunks louder than the reference) clamps to
     // the |m| <= 1 modulation-index invariant instead of re-normalizing.
+    // Resample, gain, clamp and carrier are one pass.
     const float scale = static_cast<float>(1.0 / config.reference_peak);
-    for (float& s : out.samples()) s = std::clamp(s * scale, -1.0f, 1.0f);
+    dsp::ResampleMapInto(
+        baseband, config.air_sample_rate, plan, out,
+        [&](float s, std::size_t i) {
+          return emit(std::clamp(s * scale, -1.0f, 1.0f), i);
+        });
   } else {
+    // Whole-utterance normalization needs the peak of the resampled
+    // envelope first: resample, then scale to |m| <= 1 (x * 1.0f is exact
+    // on silence) and apply the carrier in a second pass over the output.
+    dsp::ResampleInto(baseband, config.air_sample_rate, plan, out);
     const float peak = out.Peak();
-    if (peak > 0.0f) out.Scale(1.0f / peak);  // |m| <= 1
-  }
-
-  const double w = 2.0 * std::numbers::pi * config.carrier_hz /
-                   config.air_sample_rate;
-  const double norm = config.peak / (1.0 + config.alpha);
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    const double carrier = std::cos(w * static_cast<double>(i));
-    out[i] = static_cast<float>(
-        (static_cast<double>(out[i]) + config.alpha) * carrier * norm);
+    const float scale = peak > 0.0f ? 1.0f / peak : 1.0f;
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      out[i] = emit(out[i] * scale, i);
+    }
   }
 }
 

@@ -34,7 +34,7 @@ struct ModulationConfig {
 };
 
 /// AM-modulates a baseband waveform onto the ultrasonic carrier. The input
-/// is resampled to `air_sample_rate` first; the envelope is normalized so
+/// is resampled to `air_sample_rate`; the envelope is normalized so
 /// |m(t)| <= 1 before the (m + alpha) offset, keeping the modulation index
 /// at alpha^-1. With `reference_peak > 0` the envelope is scaled by
 /// 1/reference_peak instead of the per-call peak (samples beyond the
@@ -43,11 +43,15 @@ audio::Waveform ModulateAm(const audio::Waveform& baseband,
                            const ModulationConfig& config);
 
 /// ModulateAm into a caller-owned output buffer, reusing a cached resampler
-/// plan across calls. Bit-identical to ModulateAm (the plan caches the same
-/// FIR taps the plan-free resampler designs per call); with a warm plan and
-/// steady-state `out` the per-chunk call performs no allocation. The
-/// streaming dispatcher owns one plan per session next to its stream-wide
-/// reference-peak latch.
+/// plan across calls. With `reference_peak > 0` the resampler, the gain and
+/// clamp, and the carrier are one pass over the output (the resampler's
+/// per-sample epilogue); with `reference_peak == 0` the envelope's peak is
+/// needed first, so the carrier is a second pass over the resampled
+/// samples. cos(2*pi*f_c*i/fs_air) is read from the process-wide
+/// dsp::CosineTable, which the plan binds on its first call. Bit-identical
+/// to ModulateAm; with a warm plan and steady-state `out` the per-chunk
+/// call performs no allocation and takes no lock. The streaming dispatcher
+/// owns one plan per session next to its stream-wide reference-peak latch.
 void ModulateAmInto(const audio::Waveform& baseband,
                     const ModulationConfig& config, dsp::ResamplerPlan& plan,
                     audio::Waveform& out);

@@ -132,7 +132,8 @@ class StreamingProcessor {
   /// nothing after the first chunk. Processors are single-threaded by
   /// contract.
   ShadowScratch scratch_;
-  /// Cached modulation resampler taps (16 kHz baseband → air rate).
+  /// Cached modulation resampler taps (16 kHz baseband → air rate) and the
+  /// bound carrier table.
   dsp::ResamplerPlan resample_plan_;
   /// Reused Push-path buffers: popped chunk, baseband shadow, modulated
   /// output of the chunk in flight.

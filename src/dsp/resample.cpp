@@ -1,13 +1,44 @@
 #include "dsp/resample.h"
 
 #include <cmath>
+#include <map>
+#include <mutex>
+#include <numbers>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
 #include "dsp/fir.h"
+#include "dsp/polyphase.h"
 
 namespace nec::dsp {
+
+CosineTable::CosineTable(double hz_in, int rate_in)
+    : hz(hz_in), rate(rate_in), w(2.0 * std::numbers::pi * hz_in / rate_in) {
+  NEC_CHECK_MSG(rate_in > 0, "carrier table rate must be positive");
+  values.resize(static_cast<std::size_t>(rate_in));
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    values[i] = std::cos(w * static_cast<double>(i));
+  }
+}
+
+std::shared_ptr<const CosineTable> GetCosineTable(double hz, int rate) {
+  static std::mutex mu;
+  static std::map<std::pair<double, int>, std::shared_ptr<const CosineTable>>
+      cache;
+  const std::pair key{hz, rate};
+  {
+    std::lock_guard lock(mu);
+    auto it = cache.find(key);
+    if (it != cache.end()) return it->second;
+  }
+  // Built outside the lock (one second of cos calls). Two threads may race
+  // to build the same table; construction is deterministic, so either wins.
+  auto table = std::make_shared<const CosineTable>(hz, rate);
+  std::lock_guard lock(mu);
+  return cache.try_emplace(key, std::move(table)).first->second;
+}
 
 void ResamplerPlan::Bind(int src, int target, std::size_t tpp) {
   if (src_rate == src && target_rate == target && taps_per_phase == tpp) {
@@ -25,68 +56,29 @@ void ResamplerPlan::Bind(int src, int target, std::size_t tpp) {
   if (num_taps % 2 == 0) ++num_taps;
   taps = DesignFirLowPass(num_taps, cutoff, fs_up);
 
+  // Polyphase decomposition: tap j belongs to phase j % L.
+  phase_taps.clear();
+  phase_begin.clear();
+  for (std::size_t p = 0; p < up; ++p) {
+    phase_begin.push_back(phase_taps.size());
+    for (std::size_t j = p; j < taps.size(); j += up) {
+      phase_taps.push_back(static_cast<double>(taps[j]));
+    }
+  }
+  phase_begin.push_back(phase_taps.size());
+  block_inputs.assign(phase_begin[1] - 1 + kPolyphaseLanes, 0.0);
+
   src_rate = src;
   target_rate = target;
   taps_per_phase = tpp;
 }
 
-namespace {
-
-/// Shared polyphase kernel: both Resample entry points run this exact loop
-/// over plan-held taps, so plan-cached and plan-free conversion stay
-/// bit-identical by construction.
-void PolyphaseFilter(const audio::Waveform& input, const ResamplerPlan& plan,
-                     audio::Waveform& out) {
-  const std::size_t L = plan.up;
-  const std::size_t M = plan.down;
-  const std::vector<float>& taps = plan.taps;
-
-  // Polyphase decomposition: tap j belongs to phase j % L. Output sample n
-  // lands at upsampled index u = n*M; contribution comes from input samples
-  // k with u - k*L inside the kernel. Gain L compensates zero-stuffing loss.
-  const std::size_t out_len =
-      (input.size() * L + M - 1) / M;  // ceil(input*L/M)
-  out.AssignSilence(plan.target_rate, out_len);
-  const auto x = input.samples();
-  const std::ptrdiff_t delay =
-      static_cast<std::ptrdiff_t>(taps.size() / 2);  // group delay
-  const float gain = static_cast<float>(L);
-
-  for (std::size_t n = 0; n < out_len; ++n) {
-    // Upsampled-domain index of this output sample, shifted by the filter's
-    // group delay so output is time-aligned with input.
-    const std::ptrdiff_t u = static_cast<std::ptrdiff_t>(n * M) + delay;
-    // Find smallest j >= 0 with (u - j) % L == 0 → input index k=(u-j)/L.
-    const std::size_t phase = static_cast<std::size_t>(u % L);
-    double acc = 0.0;
-    for (std::size_t j = phase; j < taps.size(); j += L) {
-      const std::ptrdiff_t k = (u - static_cast<std::ptrdiff_t>(j)) /
-                               static_cast<std::ptrdiff_t>(L);
-      if (k < 0) break;
-      if (k >= static_cast<std::ptrdiff_t>(x.size())) continue;
-      acc += static_cast<double>(taps[j]) * x[static_cast<std::size_t>(k)];
-    }
-    out[n] = gain * static_cast<float>(acc);
-  }
-}
-
-}  // namespace
-
 void ResampleInto(const audio::Waveform& input, int target_rate,
                   ResamplerPlan& plan, audio::Waveform& out,
                   std::size_t taps_per_phase) {
-  NEC_CHECK_MSG(target_rate > 0, "target rate must be positive");
-  NEC_CHECK_MSG(input.sample_rate() > 0, "input must have a sample rate");
-  if (input.sample_rate() == target_rate) {
-    out = input;
-    return;
-  }
-  if (input.empty()) {
-    out.AssignSilence(target_rate, 0);
-    return;
-  }
-  plan.Bind(input.sample_rate(), target_rate, taps_per_phase);
-  PolyphaseFilter(input, plan, out);
+  ResampleMapInto(
+      input, target_rate, plan, out, [](float s, std::size_t) { return s; },
+      taps_per_phase);
 }
 
 audio::Waveform Resample(const audio::Waveform& input, int target_rate,

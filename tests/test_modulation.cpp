@@ -2,12 +2,18 @@
 // inaudibility, and ideal-demodulation round trips.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <latch>
 #include <numbers>
+#include <random>
+#include <thread>
 
 #include "channel/modulation.h"
 #include "common/check.h"
 #include "dsp/fft.h"
+#include "dsp/resample.h"
 
 namespace nec::channel {
 namespace {
@@ -19,6 +25,77 @@ audio::Waveform Tone(int rate, double f, double seconds) {
         0.5 * std::sin(2.0 * std::numbers::pi * f * i / rate));
   }
   return w;
+}
+
+// The three-pass ModulateAmInto the fused kernel replaced (resample, then
+// gain/clamp or peak normalization, then cos(w*i) per sample), kept
+// verbatim as its bitwise reference.
+void ReferenceModulateAmInto(const audio::Waveform& baseband,
+                             const ModulationConfig& config,
+                             dsp::ResamplerPlan& plan, audio::Waveform& out) {
+  NEC_CHECK_MSG(config.carrier_hz > 20000.0 &&
+                    config.carrier_hz < 0.45 * config.air_sample_rate,
+                "carrier " << config.carrier_hz
+                           << " Hz outside the inaudible/supported band");
+  NEC_CHECK_MSG(config.alpha > 0.0, "alpha must be positive");
+
+  dsp::ResampleInto(baseband, config.air_sample_rate, plan, out);
+  if (config.reference_peak > 0.0) {
+    // Fixed stream-wide gain: every chunk of a stream maps amplitude to
+    // envelope identically, so the emitted power coefficient is stable.
+    // Resampler overshoot (or chunks louder than the reference) clamps to
+    // the |m| <= 1 modulation-index invariant instead of re-normalizing.
+    const float scale = static_cast<float>(1.0 / config.reference_peak);
+    for (float& s : out.samples()) s = std::clamp(s * scale, -1.0f, 1.0f);
+  } else {
+    const float peak = out.Peak();
+    if (peak > 0.0f) out.Scale(1.0f / peak);  // |m| <= 1
+  }
+
+  const double w = 2.0 * std::numbers::pi * config.carrier_hz /
+                   config.air_sample_rate;
+  const double norm = config.peak / (1.0 + config.alpha);
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    const double carrier = std::cos(w * static_cast<double>(i));
+    out[i] = static_cast<float>(
+        (static_cast<double>(out[i]) + config.alpha) * carrier * norm);
+  }
+}
+
+audio::Waveform ReferenceModulateAm(const audio::Waveform& baseband,
+                                    const ModulationConfig& config) {
+  dsp::ResamplerPlan plan;
+  audio::Waveform out;
+  ReferenceModulateAmInto(baseband, config, plan, out);
+  return out;
+}
+
+// Noise with a silent run and spikes well past any reference peak used
+// below, so the clamp engages.
+audio::Waveform MixedSignal(std::size_t n, unsigned seed) {
+  std::mt19937 rng(seed);
+  std::uniform_real_distribution<float> dist(-0.3f, 0.3f);
+  audio::Waveform w(16000, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i >= n / 4 && i < n / 2) continue;  // silent run
+    w[i] = i % 97 == 5 ? (i % 2 ? 2.0f : -2.0f) : dist(rng);
+  }
+  return w;
+}
+
+void ExpectBitIdentical(const audio::Waveform& got,
+                        const audio::Waveform& want) {
+  ASSERT_EQ(got.sample_rate(), want.sample_rate());
+  ASSERT_EQ(got.size(), want.size());
+  if (std::memcmp(got.data().data(), want.data().data(),
+                  want.size() * sizeof(float)) == 0) {
+    return;
+  }
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(std::memcmp(&got.data()[i], &want.data()[i], sizeof(float)), 0)
+        << "first differing sample " << i << ": " << got[i] << " vs "
+        << want[i];
+  }
 }
 
 // Energy of `w` inside [lo, hi) Hz via one big FFT.
@@ -132,8 +209,14 @@ TEST(Modulation, StreamedChunksMatchWholeUtteranceWithReferencePeak) {
 
   const auto mod_whole = ModulateAm(whole, cfg);
   auto mod_chunked = ModulateAm(whole.Slice(0, rate), cfg);
-  mod_chunked.Append(ModulateAm(whole.Slice(rate, rate), cfg));
+  // The streamed chunks are exactly what the three-pass kernel emitted.
+  ExpectBitIdentical(mod_chunked,
+                     ReferenceModulateAm(whole.Slice(0, rate), cfg));
+  const auto second = whole.Slice(rate, rate);
+  ExpectBitIdentical(ModulateAm(second, cfg), ReferenceModulateAm(second, cfg));
+  mod_chunked.Append(ModulateAm(second, cfg));
   ASSERT_EQ(mod_chunked.size(), mod_whole.size());
+  ExpectBitIdentical(mod_whole, ReferenceModulateAm(whole, cfg));
 
   // Identical except for resampler edge transients at the chunk seam;
   // compare RMS of the difference over the interior of each chunk.
@@ -229,6 +312,78 @@ TEST(Modulation, EnvelopeIsNonNegativeAtUnitAlpha) {
       peak = std::max(peak, std::abs(mod[i]));
     }
     EXPECT_GT(peak, 0.0f);
+  }
+}
+
+class FusedKernelBitExact : public ::testing::TestWithParam<double> {};
+
+TEST_P(FusedKernelBitExact, MatchesThreePassReference) {
+  // Every length from shorter than one phase's taps to a whole chunk plus
+  // one, with the stream reference (gain + clamp fused into the resampler)
+  // and without it (peak-normalized second pass).
+  const double carrier = GetParam();
+  for (const double reference_peak : {0.25, 0.0}) {
+    ModulationConfig cfg{.carrier_hz = carrier};
+    cfg.reference_peak = reference_peak;
+    dsp::ResamplerPlan warm;
+    audio::Waveform got;
+    for (const std::size_t n : {1u, 2u, 24u, 25u, 26u, 300u, 16000u, 16001u}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "length " << n << " reference " << reference_peak);
+      const audio::Waveform x = MixedSignal(n, static_cast<unsigned>(n));
+      const audio::Waveform want = ReferenceModulateAm(x, cfg);
+      ExpectBitIdentical(ModulateAm(x, cfg), want);
+      ModulateAmInto(x, cfg, warm, got);
+      ExpectBitIdentical(got, want);
+    }
+    const audio::Waveform silence(16000, std::size_t{16000});
+    ModulateAmInto(silence, cfg, warm, got);
+    ExpectBitIdentical(got, ReferenceModulateAm(silence, cfg));
+  }
+}
+
+TEST_P(FusedKernelBitExact, RunsPastTheOneSecondCarrierTable) {
+  // 1.5 s of baseband is 288,000 air samples: the last third reads the
+  // carrier computed inline past the table's 192,000 entries.
+  ModulationConfig cfg{.carrier_hz = GetParam()};
+  const audio::Waveform x = MixedSignal(24000, 7);
+  ExpectBitIdentical(ModulateAm(x, cfg), ReferenceModulateAm(x, cfg));
+  cfg.reference_peak = 0.25;
+  ExpectBitIdentical(ModulateAm(x, cfg), ReferenceModulateAm(x, cfg));
+}
+
+INSTANTIATE_TEST_SUITE_P(Carriers, FusedKernelBitExact,
+                         ::testing::Values(24000.0, 27000.0, 28000.0));
+
+TEST(CosineTable, ConcurrentColdModulationMatchesSequential) {
+  // Several sessions bind a carrier no other test uses at the same moment,
+  // so they race to build and publish its table. Each must still emit the
+  // sequential three-pass result, and all must end up sharing one table.
+  constexpr std::size_t kThreads = 6;
+  constexpr double kCarriers[] = {25250.0, 26750.0};
+  const audio::Waveform x = MixedSignal(16000, 11);
+  const auto config = [&](std::size_t t) {
+    ModulationConfig cfg{.carrier_hz = kCarriers[t % 2]};
+    cfg.reference_peak = t % 3 == 0 ? 0.0 : 0.25;
+    return cfg;
+  };
+  std::vector<dsp::ResamplerPlan> plans(kThreads);
+  std::vector<audio::Waveform> outs(kThreads);
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      ModulateAmInto(x, config(t), plans[t], outs[t]);
+    });
+  }
+  for (auto& th : threads) th.join();
+
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    SCOPED_TRACE(::testing::Message() << "thread " << t);
+    ExpectBitIdentical(outs[t], ReferenceModulateAm(x, config(t)));
+    EXPECT_EQ(plans[t].carrier.get(),
+              dsp::GetCosineTable(kCarriers[t % 2], kAirSampleRate).get());
   }
 }
 

@@ -94,12 +94,13 @@ if [[ "${CHECK_TSAN_ALL:-0}" == "1" ]]; then
   ctest --test-dir build-check-tsan --output-on-failure -j "${JOBS}"
 else
   # The concurrency-bearing tests (test_runtime, test_runtime_faults,
-  # test_streaming, test_obs — the trace rings claim wait-freedom — and
-  # test_net, whose servers/router/prober all run their own threads); the
-  # rest of the suite is single-threaded and already covered by step 2
-  # (CHECK_TSAN_ALL=1 runs everything).
+  # test_streaming, test_obs — the trace rings claim wait-freedom —
+  # test_net, whose servers/router/prober all run their own threads, and
+  # test_modulation, whose sessions race to build the shared carrier
+  # table); the rest of the suite is single-threaded and already covered
+  # by step 2 (CHECK_TSAN_ALL=1 runs everything).
   ctest --test-dir build-check-tsan --output-on-failure \
-    -R 'test_runtime|test_streaming|test_obs|test_net'
+    -R 'test_runtime|test_streaming|test_obs|test_net|test_modulation'
 fi
 
 if [[ "${FAULTS}" == "1" ]]; then
