@@ -1,5 +1,6 @@
 #include "nn/layers.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 
@@ -74,11 +75,12 @@ void Conv2D::Im2ColT(const float* in, std::size_t h, std::size_t w,
       for (std::size_t kx = 0; kx < kw_; ++kx, ++idx) {
         const std::ptrdiff_t sx0 =
             static_cast<std::ptrdiff_t>(kx * dw_) - pad_w;
-        // Valid x positions: 0 <= x + sx0 < w.
-        const std::size_t x_lo =
-            sx0 < 0 ? static_cast<std::size_t>(-sx0) : 0;
-        const std::size_t x_hi =
-            sx0 > 0 ? w - static_cast<std::size_t>(sx0) : w;
+        // Valid x positions: 0 <= x + sx0 < w (none when the tap reaches
+        // past a row narrower than the padding).
+        const std::size_t shift =
+            std::min(w, static_cast<std::size_t>(sx0 < 0 ? -sx0 : sx0));
+        const std::size_t x_lo = sx0 < 0 ? shift : 0;
+        const std::size_t x_hi = sx0 > 0 ? w - shift : w;
         float* row = colt.data() + idx * pixels;
         for (std::size_t y = 0; y < h; ++y) {
           const std::ptrdiff_t sy = static_cast<std::ptrdiff_t>(y) + sy0;
@@ -89,8 +91,10 @@ void Conv2D::Im2ColT(const float* in, std::size_t h, std::size_t w,
           }
           const float* src = chan + static_cast<std::size_t>(sy) * w;
           if (x_lo > 0) std::memset(dst, 0, x_lo * sizeof(float));
-          std::memcpy(dst + x_lo, src + x_lo + sx0,
-                      (x_hi - x_lo) * sizeof(float));
+          if (x_hi > x_lo) {
+            std::memcpy(dst + x_lo, src + x_lo + sx0,
+                        (x_hi - x_lo) * sizeof(float));
+          }
           if (x_hi < w)
             std::memset(dst + x_hi, 0, (w - x_hi) * sizeof(float));
         }
@@ -101,15 +105,10 @@ void Conv2D::Im2ColT(const float* in, std::size_t h, std::size_t w,
 
 namespace {
 
-#if defined(__GNUC__) || defined(__clang__)
-#define NEC_CONV_VECTOR_KERNEL 1
 // Float vector for the convolution inner loop, sized to the widest SIMD
-// registers the compile target actually has. Matching the native register
-// width matters: the kernel keeps eight named accumulators live across the
-// whole tap loop, and eight one-register vectors always fit the register
-// file, while eight wider-than-native vectors would be split and spilled
-// to the stack — slower than no vectors at all. Element-wise ops on these
-// types are ordinary per-lane float arithmetic, so the kernel stays
+// registers the compile target actually has. Wider-than-native vectors
+// would be split and spilled to the stack. Element-wise ops on these types
+// are ordinary per-lane float arithmetic, so the kernel stays
 // deterministic at every width.
 #if defined(__AVX512F__)
 typedef float ConvVec __attribute__((vector_size(64), aligned(4)));
@@ -120,44 +119,126 @@ typedef float ConvVec __attribute__((vector_size(16), aligned(4)));
 #endif
 constexpr std::size_t kConvLanes = sizeof(ConvVec) / sizeof(float);
 
+// Register tile: kTileM output channels × kTileX<MT> vectors of one output
+// row. MT·XV accumulators, XV input loads and one weight broadcast must fit
+// the register file (32 registers with AVX-512, 16 with AVX2 or SSE).
+// Narrower channel tiles, for leftover channels, take wider rows so they
+// still keep enough independent FMA chains in flight. The shapes were
+// picked by measurement on the selector's layers (C_out 16, 6 and 2).
+#if defined(__AVX512F__)
+constexpr std::size_t kTileM = 8;
+template <std::size_t MT>
+constexpr std::size_t kTileX = MT == 8 ? 3 : MT == 6 ? 4 : MT == 4 ? 6 : 9;
+#else
+constexpr std::size_t kTileM = 4;
+template <std::size_t MT>
+constexpr std::size_t kTileX = MT == 4 ? 3 : MT == 2 ? 4 : 6;
+#endif
+
 inline ConvVec LoadConvVec(const float* p) {
   ConvVec v;
   __builtin_memcpy(&v, p, sizeof(v));
   return v;
 }
 
-inline void StoreConvVec(float* p, ConvVec v) {
-  __builtin_memcpy(p, &v, sizeof(v));
+// The operands of one ComputeInto call; `slab` is the padded input.
+struct ConvShape {
+  const float* slab;
+  const float* weight;  // (C_out, K)
+  const float* bias;
+  float* out;
+  std::size_t in_channels, kh, kw, dh, dw;
+  std::size_t ph, pw;  // padded slab height and row stride
+  std::size_t h, w;
+};
+
+// Output channels m0..m0+MT × vectors x0, x0 + L, ... x0 + (XV-1)·L of
+// output row y. Each tap loads its XV shifted input vectors once and feeds
+// them to all MT channels; every output still accumulates its own taps in
+// ascending k from 0 in the form `a += w * v` (one fused multiply-add
+// wherever the compiler contracts it), then adds the bias. Vectors that run
+// past w read the slab's right padding and are stored partially.
+template <std::size_t MT, std::size_t XV>
+void ConvTile(const ConvShape& s, std::size_t m0, std::size_t y,
+              std::size_t x0) {
+  const std::size_t taps = s.in_channels * s.kh * s.kw;
+  const float* wt = s.weight + m0 * taps;
+  ConvVec acc[MT][XV] = {};
+  std::size_t k = 0;
+  for (std::size_t c = 0; c < s.in_channels; ++c) {
+    for (std::size_t ky = 0; ky < s.kh; ++ky) {
+      const float* row = s.slab + (c * s.ph + y + ky * s.dh) * s.pw + x0;
+      for (std::size_t kx = 0; kx < s.kw; ++kx, ++k) {
+        const float* src = row + kx * s.dw;
+        ConvVec v[XV];
+#pragma GCC unroll 16
+        for (std::size_t j = 0; j < XV; ++j) {
+          v[j] = LoadConvVec(src + j * kConvLanes);
+        }
+#pragma GCC unroll 16
+        for (std::size_t i = 0; i < MT; ++i) {
+          const float wk = wt[i * taps + k];
+#pragma GCC unroll 16
+          for (std::size_t j = 0; j < XV; ++j) acc[i][j] += wk * v[j];
+        }
+      }
+    }
+  }
+  const std::size_t pixels = s.h * s.w;
+#pragma GCC unroll 16
+  for (std::size_t i = 0; i < MT; ++i) {
+    const float b = s.bias[m0 + i];
+    float* dst = s.out + (m0 + i) * pixels + y * s.w;
+#pragma GCC unroll 16
+    for (std::size_t j = 0; j < XV; ++j) {
+      const std::size_t x = x0 + j * kConvLanes;
+      const ConvVec r = acc[i][j] + b;
+      const std::size_t n = std::min(kConvLanes, s.w - x);
+      if (n == kConvLanes) {
+        __builtin_memcpy(dst + x, &r, sizeof(r));
+      } else {
+        std::memcpy(dst + x, &r, n * sizeof(float));
+      }
+    }
+  }
 }
-#endif
+
+// Channels m0..m0+MT of output row y from vector j on: whole XV tiles,
+// then the rest in halved tiles.
+template <std::size_t MT, std::size_t XV = kTileX<MT>>
+void ConvRow(const ConvShape& s, std::size_t m0, std::size_t y,
+             std::size_t j = 0) {
+  const std::size_t vecs = (s.w + kConvLanes - 1) / kConvLanes;
+  for (; j + XV <= vecs; j += XV) {
+    ConvTile<MT, XV>(s, m0, y, j * kConvLanes);
+  }
+  if constexpr (XV > 1) ConvRow<MT, XV / 2>(s, m0, y, j);
+}
 
 }  // namespace
 
 // Direct "same"-padded convolution over a zero-padded copy of the input.
 //
-// `scratch` holds the padded input (C_in, h + 2*pad_h, w + 2*pad_w);
-// building it costs one input-sized pass of memcpys. Each output channel
-// then accumulates its K = C_in*kh*kw taps in ascending-k order as an axpy
-// over the contiguous width axis:
+// `scratch` holds the padded input (C_in, h + 2*pad_h, W + 2*pad_w), where
+// W is w rounded up to whole vectors, so the last vector of a row is an
+// ordinary load; building it costs one input-sized pass of memcpys. Each
+// output element accumulates its K = C_in*kh*kw taps in ascending-k order,
 //     out[m][y][x] += weight[m][k] * padded[c][y + ky*dh][x + kx*dw]
-// The padding contributes explicit `w * 0.0f` addends, exactly like the
-// zero entries of the im2col lowering the training path keeps for its
-// gradients — every output element sees the same addend sequence on both
-// paths (Forward, InferBatchInto), so they are bit-compatible by
-// construction.
+// then adds the bias. The padding contributes explicit `w * 0.0f` addends,
+// exactly like the zero entries of the im2col lowering Backward keeps for
+// its gradients, and Forward and InferBatchInto share this kernel, so every
+// path sees the same addend sequence and is bit-compatible by construction.
 //
-// Why direct instead of im2col + GEMM: C_out is tiny (selector convs are
-// 6-channel), so the GEMM formulation is memory-bound streaming a K×P
-// column matrix that is ~K times the input size. The direct kernel's
-// working set is the padded input slab (L2-resident for 1 s selector
-// chunks) plus one output channel, and the axpy inner loop vectorizes over
-// width — an order of magnitude less memory traffic per layer.
+// The loops run in register tiles (ConvTile): a tile of output channels ×
+// vectors of one row stays in registers across the whole tap loop, and each
+// shifted input vector is loaded once per tap for every channel in the
+// tile. Leftover channels take narrower tiles (6 or 4, then 2, then 1).
 void Conv2D::ComputeInto(const float* in, std::size_t h, std::size_t w,
                          std::vector<float>& scratch, float* out) const {
   const std::size_t pad_h = dh_ * (kh_ - 1) / 2;
   const std::size_t pad_w = dw_ * (kw_ - 1) / 2;
-  const std::size_t ph = h + 2 * pad_h, pw = w + 2 * pad_w;
-  const std::size_t pixels = h * w;
+  const std::size_t wv = (w + kConvLanes - 1) / kConvLanes * kConvLanes;
+  const std::size_t ph = h + 2 * pad_h, pw = wv + 2 * pad_w;
 
   scratch.assign(in_channels_ * ph * pw, 0.0f);
   for (std::size_t c = 0; c < in_channels_; ++c) {
@@ -167,74 +248,27 @@ void Conv2D::ComputeInto(const float* in, std::size_t h, std::size_t w,
     }
   }
 
-  // Register-blocked accumulation: each x-block of one output row keeps its
-  // accumulators in vector registers across the ENTIRE tap loop, so the k
-  // loop costs one shifted src load + one multiply-add per tap per vector —
-  // no per-tap load/store of the output. Eight NAMED accumulators are
-  // deliberate: a local `float acc[]` array lives on the stack and GCC then
-  // reloads/stores it every tap (~3x slower), while named one-register
-  // vectors stay in registers, and eight independent chains cover the FMA
-  // latency*throughput product. The per-element addend order is still
-  // ascending k, then + bias, matching the im2col lowering term for term.
-  constexpr std::size_t kXBlock = 128;
-  for (std::size_t m = 0; m < out_channels_; ++m) {
-    float* om = out + m * pixels;
-    const float* wm = weight_.value.data() + m * in_channels_ * kh_ * kw_;
-    const float b = bias_.value[m];
-    for (std::size_t y = 0; y < h; ++y) {
-      float* dst = om + y * w;
-      std::size_t xb = 0;
-#ifdef NEC_CONV_VECTOR_KERNEL
-      constexpr std::size_t kVecBlock = 8 * kConvLanes;
-      for (; xb + kVecBlock <= w; xb += kVecBlock) {
-        ConvVec a0{}, a1{}, a2{}, a3{}, a4{}, a5{}, a6{}, a7{};
-        std::size_t k = 0;
-        for (std::size_t c = 0; c < in_channels_; ++c) {
-          const float* chan = scratch.data() + c * ph * pw;
-          for (std::size_t ky = 0; ky < kh_; ++ky) {
-            const float* row = chan + (y + ky * dh_) * pw + xb;
-            for (std::size_t kx = 0; kx < kw_; ++kx, ++k) {
-              const float wk = wm[k];
-              const float* src = row + kx * dw_;
-              a0 += wk * LoadConvVec(src);
-              a1 += wk * LoadConvVec(src + kConvLanes);
-              a2 += wk * LoadConvVec(src + 2 * kConvLanes);
-              a3 += wk * LoadConvVec(src + 3 * kConvLanes);
-              a4 += wk * LoadConvVec(src + 4 * kConvLanes);
-              a5 += wk * LoadConvVec(src + 5 * kConvLanes);
-              a6 += wk * LoadConvVec(src + 6 * kConvLanes);
-              a7 += wk * LoadConvVec(src + 7 * kConvLanes);
-            }
-          }
-        }
-        StoreConvVec(dst + xb, a0 + b);
-        StoreConvVec(dst + xb + kConvLanes, a1 + b);
-        StoreConvVec(dst + xb + 2 * kConvLanes, a2 + b);
-        StoreConvVec(dst + xb + 3 * kConvLanes, a3 + b);
-        StoreConvVec(dst + xb + 4 * kConvLanes, a4 + b);
-        StoreConvVec(dst + xb + 5 * kConvLanes, a5 + b);
-        StoreConvVec(dst + xb + 6 * kConvLanes, a6 + b);
-        StoreConvVec(dst + xb + 7 * kConvLanes, a7 + b);
-      }
-#endif
-      for (; xb < w; xb += kXBlock) {
-        const std::size_t xn = std::min(kXBlock, w - xb);
-        float acc[kXBlock] = {};
-        std::size_t k = 0;
-        for (std::size_t c = 0; c < in_channels_; ++c) {
-          const float* chan = scratch.data() + c * ph * pw;
-          for (std::size_t ky = 0; ky < kh_; ++ky) {
-            const float* row = chan + (y + ky * dh_) * pw + xb;
-            for (std::size_t kx = 0; kx < kw_; ++kx, ++k) {
-              const float wk = wm[k];
-              const float* src = row + kx * dw_;
-              for (std::size_t i = 0; i < xn; ++i) acc[i] += wk * src[i];
-            }
-          }
-        }
-        for (std::size_t i = 0; i < xn; ++i) dst[xb + i] = acc[i] + b;
+  const ConvShape s{scratch.data(), weight_.value.data(), bias_.value.data(),
+                    out, in_channels_, kh_, kw_, dh_, dw_, ph, pw, h, w};
+  for (std::size_t y = 0; y < h; ++y) {
+    std::size_t m0 = 0;
+    for (; m0 + kTileM <= out_channels_; m0 += kTileM) {
+      ConvRow<kTileM>(s, m0, y);
+    }
+    if constexpr (kTileM == 8) {
+      if (out_channels_ - m0 >= 6) {
+        ConvRow<6>(s, m0, y);
+        m0 += 6;
+      } else if (out_channels_ - m0 >= 4) {
+        ConvRow<4>(s, m0, y);
+        m0 += 4;
       }
     }
+    if (out_channels_ - m0 >= 2) {
+      ConvRow<2>(s, m0, y);
+      m0 += 2;
+    }
+    if (m0 < out_channels_) ConvRow<1>(s, m0, y);
   }
 }
 

@@ -93,13 +93,13 @@ class Layer {
 /// and width the frequency axis in the selector's usage.
 ///
 /// Forward and InferBatchInto both run ONE direct kernel (ComputeInto):
-/// a zero-padded input copy plus per-tap axpys vectorized over the width
-/// axis, each output element accumulating its K taps ascending in k. The
-/// im2col lowering survives only as Backward's gradient workspace. Sharing
-/// the kernel makes every path bit-identical by construction — the batched
-/// inference contract above — and the direct form is an order of magnitude
-/// lighter on memory traffic than im2col + GEMM at the selector's tiny
-/// channel counts.
+/// a zero-padded input copy, then register tiles of output channels ×
+/// width vectors, each output element accumulating its K taps ascending in
+/// k before the bias. The im2col lowering survives only as Backward's
+/// gradient workspace. Sharing the kernel makes every path bit-identical
+/// by construction — the batched inference contract above — and the
+/// direct form is an order of magnitude lighter on memory traffic than
+/// im2col + GEMM at the selector's small channel counts.
 class Conv2D : public Layer {
  public:
   Conv2D(std::size_t in_channels, std::size_t out_channels,

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <functional>
 
 #include "common/check.h"
@@ -502,6 +505,225 @@ TEST(InferBatch, SequentialChains) {
     for (std::size_t j = 0; j < one.numel(); ++j, ++off) {
       ASSERT_EQ(out[off], one[j]);
     }
+  }
+}
+
+// ------------------------------------------- Conv2D vs the reference kernel
+//
+// The earlier direct kernel, loop for loop: channel-outermost, eight named
+// vector accumulators per 8-vector block, a scalar loop for the rest of
+// the row. The register-tiled ComputeInto must match it bit for bit, in
+// every build, since the shadows depend on each output's exact addend
+// sequence: ascending k from 0, then + bias.
+
+#if defined(__AVX512F__)
+typedef float RefVec __attribute__((vector_size(64), aligned(4)));
+#elif defined(__AVX__)
+typedef float RefVec __attribute__((vector_size(32), aligned(4)));
+#else
+typedef float RefVec __attribute__((vector_size(16), aligned(4)));
+#endif
+constexpr std::size_t kRefLanes = sizeof(RefVec) / sizeof(float);
+
+RefVec LoadRefVec(const float* p) {
+  RefVec v;
+  __builtin_memcpy(&v, p, sizeof(v));
+  return v;
+}
+
+void StoreRefVec(float* p, RefVec v) { __builtin_memcpy(p, &v, sizeof(v)); }
+
+struct ConvGeometry {
+  std::size_t c_in, c_out, kh, kw, dh, dw;
+};
+
+Tensor ReferenceConv(Conv2D& conv, const ConvGeometry& g, const Tensor& in) {
+  const std::size_t h = in.dim(1), w = in.dim(2);
+  const std::size_t pad_h = g.dh * (g.kh - 1) / 2;
+  const std::size_t pad_w = g.dw * (g.kw - 1) / 2;
+  const std::size_t ph = h + 2 * pad_h, pw = w + 2 * pad_w;
+  const std::size_t pixels = h * w;
+  std::vector<float> scratch(g.c_in * ph * pw, 0.0f);
+  for (std::size_t c = 0; c < g.c_in; ++c) {
+    for (std::size_t y = 0; y < h; ++y) {
+      std::memcpy(scratch.data() + ((c * ph) + y + pad_h) * pw + pad_w,
+                  in.data() + (c * h + y) * w, w * sizeof(float));
+    }
+  }
+  Tensor result({g.c_out, h, w});
+  float* out = result.data();
+
+  constexpr std::size_t kXBlock = 128;
+  for (std::size_t m = 0; m < g.c_out; ++m) {
+    float* om = out + m * pixels;
+    const float* wm = conv.weight().value.data() + m * g.c_in * g.kh * g.kw;
+    const float b = conv.bias().value[m];
+    for (std::size_t y = 0; y < h; ++y) {
+      float* dst = om + y * w;
+      std::size_t xb = 0;
+      constexpr std::size_t kVecBlock = 8 * kRefLanes;
+      for (; xb + kVecBlock <= w; xb += kVecBlock) {
+        RefVec a0{}, a1{}, a2{}, a3{}, a4{}, a5{}, a6{}, a7{};
+        std::size_t k = 0;
+        for (std::size_t c = 0; c < g.c_in; ++c) {
+          const float* chan = scratch.data() + c * ph * pw;
+          for (std::size_t ky = 0; ky < g.kh; ++ky) {
+            const float* row = chan + (y + ky * g.dh) * pw + xb;
+            for (std::size_t kx = 0; kx < g.kw; ++kx, ++k) {
+              const float wk = wm[k];
+              const float* src = row + kx * g.dw;
+              a0 += wk * LoadRefVec(src);
+              a1 += wk * LoadRefVec(src + kRefLanes);
+              a2 += wk * LoadRefVec(src + 2 * kRefLanes);
+              a3 += wk * LoadRefVec(src + 3 * kRefLanes);
+              a4 += wk * LoadRefVec(src + 4 * kRefLanes);
+              a5 += wk * LoadRefVec(src + 5 * kRefLanes);
+              a6 += wk * LoadRefVec(src + 6 * kRefLanes);
+              a7 += wk * LoadRefVec(src + 7 * kRefLanes);
+            }
+          }
+        }
+        StoreRefVec(dst + xb, a0 + b);
+        StoreRefVec(dst + xb + kRefLanes, a1 + b);
+        StoreRefVec(dst + xb + 2 * kRefLanes, a2 + b);
+        StoreRefVec(dst + xb + 3 * kRefLanes, a3 + b);
+        StoreRefVec(dst + xb + 4 * kRefLanes, a4 + b);
+        StoreRefVec(dst + xb + 5 * kRefLanes, a5 + b);
+        StoreRefVec(dst + xb + 6 * kRefLanes, a6 + b);
+        StoreRefVec(dst + xb + 7 * kRefLanes, a7 + b);
+      }
+      for (; xb < w; xb += kXBlock) {
+        const std::size_t xn = std::min(kXBlock, w - xb);
+        float acc[kXBlock] = {};
+        std::size_t k = 0;
+        for (std::size_t c = 0; c < g.c_in; ++c) {
+          const float* chan = scratch.data() + c * ph * pw;
+          for (std::size_t ky = 0; ky < g.kh; ++ky) {
+            const float* row = chan + (y + ky * g.dh) * pw + xb;
+            for (std::size_t kx = 0; kx < g.kw; ++kx, ++k) {
+              const float wk = wm[k];
+              const float* src = row + kx * g.dw;
+              for (std::size_t i = 0; i < xn; ++i) acc[i] += wk * src[i];
+            }
+          }
+        }
+        for (std::size_t i = 0; i < xn; ++i) dst[xb + i] = acc[i] + b;
+      }
+    }
+  }
+  return result;
+}
+
+// Selector-like activations: signed values, exact zeros, and channels that
+// went through a ReLU (about half their entries exactly 0).
+Tensor MixedActivations(const Shape& shape, std::uint64_t seed) {
+  Rng rng(seed);
+  Tensor t = Tensor::Randn(shape, rng, 1.0f);
+  const std::size_t plane =
+      shape[shape.size() - 2] * shape[shape.size() - 1];
+  for (std::size_t i = 0; i < t.numel(); ++i) {
+    if ((i / plane) % 2 == 1) t[i] = std::max(0.0f, t[i]);
+    if (i % 7 == 3) t[i] = 0.0f;
+  }
+  return t;
+}
+
+// Forward on each item and InferBatchInto on a batch of two must both equal
+// the reference, bit for bit.
+void ExpectConvMatchesReference(const ConvGeometry& g, std::size_t h,
+                                std::size_t w, std::uint64_t seed) {
+  SCOPED_TRACE(::testing::Message()
+               << g.c_in << "->" << g.c_out << " " << g.kh << "x" << g.kw
+               << " d" << g.dh << "," << g.dw << " h=" << h << " w=" << w);
+  Rng rng(seed);
+  Conv2D conv(g.c_in, g.c_out, g.kh, g.kw, g.dh, g.dw, rng);
+  conv.bias().value = Tensor::Randn({g.c_out}, rng, 0.5f);
+  const Tensor batch = MixedActivations({2, g.c_in, h, w}, seed + 1);
+  const Tensor batched = conv.InferBatch(batch);
+  for (std::size_t i = 0; i < 2; ++i) {
+    const Tensor item = SliceItem(batch, i);
+    const Tensor want = ReferenceConv(conv, g, item);
+    const Tensor fwd = conv.Forward(item);
+    for (std::size_t j = 0; j < want.numel(); ++j) {
+      ASSERT_EQ(std::bit_cast<std::uint32_t>(fwd[j]),
+                std::bit_cast<std::uint32_t>(want[j]))
+          << "Forward item " << i << " elem " << j;
+      ASSERT_EQ(std::bit_cast<std::uint32_t>(batched[i * want.numel() + j]),
+                std::bit_cast<std::uint32_t>(want[j]))
+          << "InferBatchInto item " << i << " elem " << j;
+    }
+  }
+}
+
+// The selector's conv stack (core/selector.cpp) at channel width C.
+void ExpectSelectorStackMatchesReference(std::size_t C, std::size_t h,
+                                         std::size_t w, std::uint64_t seed) {
+  ExpectConvMatchesReference({1, C, 1, 7, 1, 1}, h, w, seed);
+  ExpectConvMatchesReference({C, C, 7, 1, 1, 1}, h, w, seed + 10);
+  for (const std::size_t d : {1u, 2u, 4u, 8u}) {
+    ExpectConvMatchesReference({C, C, 5, 5, d, 1}, h, w, seed + 20 + d);
+  }
+  ExpectConvMatchesReference({C, 2, 5, 5, 1, 1}, h, w, seed + 30);
+}
+
+TEST(Conv2DReference, FastSelectorLayersBitIdentical) {
+  ExpectSelectorStackMatchesReference(16, 24, 129, 800);
+}
+
+TEST(Conv2DReference, TinySelectorLayersBitIdentical) {
+  ExpectSelectorStackMatchesReference(6, 24, 129, 810);
+}
+
+TEST(Conv2DReference, PaperWidthLayersBitIdentical) {
+  ExpectSelectorStackMatchesReference(64, 3, 601, 820);
+}
+
+TEST(Conv2DReference, EveryTileRemainderAndRowTail) {
+  // Channel counts hit every leftover tile; widths cover the row tails of
+  // 4-, 8- and 16-lane builds.
+  std::uint64_t seed = 830;
+  for (const std::size_t c_out : {1u, 2u, 3u, 5u, 6u, 7u, 16u}) {
+    for (const std::size_t w :
+         {1u, 3u, 4u, 5u, 15u, 16u, 17u, 47u, 48u, 49u, 129u, 601u}) {
+      ExpectConvMatchesReference({3, c_out, 3, 5, 2, 1}, 4, w, ++seed);
+    }
+  }
+}
+
+TEST(Conv2DReference, HaloTallerThanTheInput) {
+  // Dilation 8 on a 5-tap kernel pads 16 rows on each side of a 3-row
+  // input: most taps of every output read only padding.
+  ExpectConvMatchesReference({4, 6, 5, 5, 8, 1}, 3, 49, 850);
+  ExpectConvMatchesReference({4, 16, 5, 5, 8, 1}, 3, 129, 851);
+}
+
+TEST(Conv2DReference, CancellingTermsPinTheTapOrder) {
+  // On ordinary inputs the rounding of a reordered sum rarely shows. It
+  // does when large terms cancel: the centre taps of channels 0 and 1 carry
+  // weights +B and -B, and both channels hold the same input, so the two
+  // big products cancel exactly, while the small taps added between them
+  // round at B's scale. The output then depends on the order of every
+  // addition: reversing the k chain, adding the bias first, or summing
+  // channels as separate partial sums each changes bits.
+  const ConvGeometry g{2, 7, 3, 3, 2, 1};
+  Rng rng(860);
+  Conv2D conv(g.c_in, g.c_out, g.kh, g.kw, g.dh, g.dw, rng);
+  conv.bias().value = Tensor::Randn({g.c_out}, rng, 0.5f);
+  const float big = 1048576.0f;  // 2^20: a float ulp of 1/8 at B
+  const std::size_t taps = g.c_in * g.kh * g.kw, centre = taps / 4;
+  for (std::size_t m = 0; m < g.c_out; ++m) {
+    conv.weight().value[m * taps + centre] = big;
+    conv.weight().value[m * taps + taps / 2 + centre] = -big;
+  }
+  const std::size_t h = 5, w = 37;
+  Tensor in = MixedActivations({g.c_in, h, w}, 861);
+  std::copy(in.data(), in.data() + h * w, in.data() + h * w);
+  const Tensor want = ReferenceConv(conv, g, in);
+  const Tensor got = conv.Forward(in);
+  for (std::size_t j = 0; j < want.numel(); ++j) {
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(got[j]),
+              std::bit_cast<std::uint32_t>(want[j]))
+        << "elem " << j;
   }
 }
 

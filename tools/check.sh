@@ -8,7 +8,8 @@
 #   CHECK_TSAN_ALL=1 tools/check.sh  # run the ENTIRE suite under TSan (slow)
 #   CHECK_BENCH_SMOKE=1 tools/check.sh  # also smoke the perf JSON benches
 #   CHECK_FAULTS=1 tools/check.sh    # also run the fault-injection stress
-#                                    # suite under ASan+UBSan (the TSan run
+#                                    # suite and the conv/selector tests
+#                                    # under ASan+UBSan (the TSan run
 #                                    # above already covers it for races)
 #   CHECK_OBS=1 tools/check.sh       # also boot necd with --metrics-port,
 #                                    # scrape /metrics + /healthz, validate
@@ -104,18 +105,23 @@ else
 fi
 
 if [[ "${FAULTS}" == "1" ]]; then
-  step "fault-injection stress: ASan+UBSan"
+  step "ASan+UBSan: fault-injection stress, conv and selector tests"
   # The containment paths move exception objects and purge queues across
   # threads; ASan+UBSan catches lifetime/UB bugs the TSan run (which
-  # already includes test_runtime_faults) cannot see.
+  # already includes test_runtime_faults) cannot see. test_layers and
+  # test_selector run here too: the register-tiled conv reads into the
+  # padded slab's right edge and stores partial vectors at row ends, so an
+  # off-by-one there is an over-read or over-write the Release run cannot
+  # see.
   cmake -B build-check-asan -S . \
     -DCMAKE_BUILD_TYPE=Release \
     -DNEC_NATIVE_ARCH=OFF \
     -DNEC_SANITIZE=address,undefined \
     -DNEC_BUILD_BENCH=OFF -DNEC_BUILD_EXAMPLES=OFF
-  cmake --build build-check-asan -j "${JOBS}" --target test_runtime_faults
+  cmake --build build-check-asan -j "${JOBS}" \
+    --target test_runtime_faults test_layers test_selector
   ctest --test-dir build-check-asan --output-on-failure \
-    -R 'test_runtime_faults'
+    -R 'test_runtime_faults|test_layers|test_selector'
 fi
 
 if [[ "${BENCH_SMOKE}" == "1" ]]; then
