@@ -1,13 +1,12 @@
 // Machine-readable bench output (BENCH_hotpath.json).
 //
-// The perf harness appends each bench's results as one named top-level
-// section of a shared JSON file, so a driver (tools/check.sh smoke mode,
-// CI, or a human diffing before/after) can read chunks/sec, module
-// latencies and deadline margins without scraping the pretty-printed
-// tables. No external JSON dependency: the writer emits a deliberately
-// small dialect (ordered objects, arrays, numbers, booleans, and strings
-// that must not contain quotes, braces or backslashes), and the section
-// merger only ever re-reads files this helper produced.
+// A bench appends its results as one named top-level section of a shared
+// JSON file, so a script (tools/check.sh smoke mode) or a human diffing
+// before/after can read module latencies and deadline margins without
+// scraping the pretty-printed tables. No external JSON dependency: the
+// writer emits a deliberately small dialect (flat objects of numbers and
+// booleans), and the section merger only ever re-reads files this helper
+// produced.
 #pragma once
 
 #include <cstddef>
@@ -23,12 +22,10 @@
 
 namespace nec::bench {
 
-/// Streaming writer for one JSON object. Keys and string values must stay
+/// Writer for one flat JSON object of numbers and booleans. Keys must stay
 /// free of `"`, `{`, `}` and `\` — NEC_CHECK'd, not escaped.
 class JsonWriter {
  public:
-  JsonWriter() { Open('{'); }
-
   JsonWriter& Field(const char* key, double v) {
     Key(key);
     char buf[40];
@@ -41,68 +38,25 @@ class JsonWriter {
     out_ += v ? "true" : "false";
     return *this;
   }
-  JsonWriter& Field(const char* key, const char* v) {
-    CheckPlain(v);
-    Key(key);
-    out_ += '"';
-    out_ += v;
-    out_ += '"';
-    return *this;
-  }
 
-  JsonWriter& BeginObject(const char* key = nullptr) {
-    key != nullptr ? Key(key) : Comma();
-    Open('{');
-    return *this;
-  }
-  JsonWriter& BeginArray(const char* key) {
-    Key(key);
-    Open('[');
-    return *this;
-  }
-  JsonWriter& EndObject() { return CloseScope('}'); }
-  JsonWriter& EndArray() { return CloseScope(']'); }
-
-  /// Closes the root object and returns its text. Call exactly once, with
-  /// every nested scope already closed.
+  /// Closes the object and returns its text. Call exactly once.
   std::string Finish() {
-    NEC_CHECK_MSG(first_.size() == 1, "unclosed JSON scope at Finish");
     out_ += '}';
-    first_.clear();
     return std::move(out_);
   }
 
  private:
-  void CheckPlain(const char* s) {
-    for (; *s != '\0'; ++s) {
-      NEC_CHECK_MSG(*s != '"' && *s != '{' && *s != '}' && *s != '\\',
-                    "JsonWriter strings must not need escaping");
-    }
-  }
-  void Comma() {
-    if (!first_.back()) out_ += ", ";
-    first_.back() = false;
-  }
   void Key(const char* k) {
-    CheckPlain(k);
-    Comma();
-    out_ += '"';
+    for (const char* c = k; *c != '\0'; ++c) {
+      NEC_CHECK_MSG(*c != '"' && *c != '{' && *c != '}' && *c != '\\',
+                    "JsonWriter keys must not need escaping");
+    }
+    out_ += out_.size() == 1 ? "\"" : ", \"";
     out_ += k;
     out_ += "\": ";
   }
-  void Open(char c) {
-    out_ += c;
-    first_.push_back(true);
-  }
-  JsonWriter& CloseScope(char c) {
-    NEC_CHECK_MSG(first_.size() > 1, "unbalanced JSON scope close");
-    out_ += c;
-    first_.pop_back();
-    return *this;
-  }
 
-  std::string out_;
-  std::vector<bool> first_;
+  std::string out_ = "{";
 };
 
 /// Replaces (or appends) the top-level section `name` of the JSON object
@@ -112,8 +66,8 @@ class JsonWriter {
 inline void WriteJsonSection(const std::string& path, const std::string& name,
                              const std::string& object_text) {
   // Parse the existing file into (name, raw object) pairs with a brace
-  // counter. Safe because the only brace-bearing strings this file can
-  // contain are ones CheckPlain rejected at write time.
+  // counter. Safe because the only strings this file can contain are
+  // keys, and JsonWriter rejects braces in those at write time.
   std::vector<std::pair<std::string, std::string>> sections;
   std::string in;
   {

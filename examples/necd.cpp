@@ -966,26 +966,6 @@ int main(int argc, char** argv) {
   std::printf("%-28s %12llu\n", "worker exceptions",
               static_cast<unsigned long long>(stats.worker_exceptions));
 
-  // Per-module accounting (safe here: Drain + Flush left every session
-  // idle, so the strand-owned counters are stable). Shows where each
-  // session's wall time went — selector (STFT+DNN+iSTFT) vs. ultrasonic
-  // modulation — the per-stage view the aggregate latency quantiles hide.
-  std::printf("------------------------ per-module timings "
-              "----------------------\n");
-  std::printf("%-10s %8s %18s %19s\n", "session", "chunks",
-              "selector ms/chunk", "broadcast ms/chunk");
-  core::ModuleTimings total;
-  for (const auto id : ids) {
-    const core::ModuleTimings t = manager.SessionTimings(id);
-    std::printf("%-10zu %8zu %18.2f %19.2f\n", id, t.chunks,
-                t.avg_selector_ms(), t.avg_broadcast_ms());
-    total.selector_ms += t.selector_ms;
-    total.broadcast_ms += t.broadcast_ms;
-    total.chunks += t.chunks;
-  }
-  std::printf("%-10s %8zu %18.2f %19.2f\n", "all", total.chunks,
-              total.avg_selector_ms(), total.avg_broadcast_ms());
-
   // Per-session health: anything not idle/neural after a drained run
   // deserves a line the operator can act on.
   bool any_unhealthy = false;

@@ -1,13 +1,13 @@
-// Hot-path memory primitives: bump arena, RAII arena scope, size-classed
-// buffer pool, and non-owning tensor views (DESIGN.md §5i).
+// Hot-path memory primitives: bump arena, RAII arena scope and the inline
+// tensor shape (DESIGN.md §5i).
 //
 // The per-chunk serving path (Stft → selector DNN → Istft → ModulateAm)
 // used to allocate every temporary from the global heap — a fresh
 // std::vector<float> per Tensor, per spectrogram, per scratch buffer.
 // These primitives give each session strand one Arena that is reset at
 // every chunk boundary: allocation is a pointer bump, deallocation is
-// free, and after warmup the steady-state bench asserts 0 mallocs/chunk
-// (bench_runtime_throughput, `alloc` section of BENCH_hotpath.json).
+// free, and after warmup both runtime arms make 0 mallocs per chunk
+// (tests/test_hot_path.cpp counts them in every ctest run).
 //
 // Ownership rules (enforced by convention + tests, see DESIGN.md §5i):
 //  - Weights, model cache, and training tensors stay on owning storage.
@@ -29,7 +29,6 @@
 #include <cstring>
 #include <initializer_list>
 #include <memory>
-#include <mutex>
 #include <utility>
 #include <vector>
 
@@ -192,95 +191,6 @@ class ArenaScope {
   Arena::Mark mark_;
 };
 
-// ------------------------------------------------------------------- Pool
-
-/// Size-classed recycler for float buffers whose lifetime crosses strand
-/// or thread boundaries (chunk waveforms travelling through the batcher,
-/// session output swap space) — storage an Arena cannot serve because no
-/// single scope outlives it. Buffers are binned by power-of-two capacity;
-/// Acquire prefers a recycled buffer and does NOT zero reused contents
-/// (consumers overwrite fully — test-enforced), Release returns it to the
-/// bin or drops it when the bin is full. Thread-safe.
-class Pool {
- public:
-  static constexpr std::size_t kNumClasses = 32;
-
-  explicit Pool(std::size_t max_per_class = 16) : max_per_class_(max_per_class) {}
-
-  Pool(const Pool&) = delete;
-  Pool& operator=(const Pool&) = delete;
-
-  /// A buffer with size() == n and capacity from n's size class. Reused
-  /// elements keep their previous (stale) contents; only growth beyond a
-  /// recycled buffer's old size is value-initialized by the resize.
-  std::vector<float> Acquire(std::size_t n) {
-    std::vector<float> buf;
-    const std::size_t cls = ClassOf(n);
-    {
-      std::lock_guard lock(mu_);
-      ++acquires_;
-      auto& bin = bins_[cls];
-      if (!bin.empty()) {
-        ++hits_;
-        buf = std::move(bin.back());
-        bin.pop_back();
-      }
-    }
-    if (buf.capacity() < n) buf.reserve(ClassCapacity(cls));
-    buf.resize(n);
-    return buf;
-  }
-
-  /// Recycles `buf`'s storage. The buffer is binned by its capacity (it
-  /// can serve any future request up to that size class).
-  void Release(std::vector<float>&& buf) {
-    if (buf.capacity() == 0) return;
-    const std::size_t cls = ClassOf(buf.capacity());
-    const std::size_t keep_cls = (ClassCapacity(cls) <= buf.capacity()) ? cls : cls - 1;
-    std::lock_guard lock(mu_);
-    ++releases_;
-    auto& bin = bins_[keep_cls];
-    if (bin.size() < max_per_class_) {
-      bin.push_back(std::move(buf));
-    } else {
-      ++discards_;
-    }
-  }
-
-  struct Stats {
-    std::uint64_t acquires = 0;
-    std::uint64_t hits = 0;
-    std::uint64_t releases = 0;
-    std::uint64_t discards = 0;
-  };
-  Stats stats() const {
-    std::lock_guard lock(mu_);
-    return Stats{acquires_, hits_, releases_, discards_};
-  }
-
- private:
-  /// Smallest class whose capacity holds n (ceil log2, min 256 floats —
-  /// tiny buffers share one bin so short frames don't fragment).
-  static std::size_t ClassOf(std::size_t n) {
-    std::size_t cls = 8;  // 2^8 = 256 floats minimum class
-    while (ClassCapacity(cls) < n) ++cls;
-    NEC_DCHECK(cls < kNumClasses);
-    return cls;
-  }
-  static std::size_t ClassCapacity(std::size_t cls) { return std::size_t{1} << cls; }
-
-  mutable std::mutex mu_;
-  std::size_t max_per_class_;
-  std::array<std::vector<std::vector<float>>, kNumClasses> bins_;
-  std::uint64_t acquires_ = 0, hits_ = 0, releases_ = 0, discards_ = 0;
-};
-
-/// Process-wide pool for cross-strand buffer recycling.
-inline Pool& GlobalPool() {
-  static Pool pool;
-  return pool;
-}
-
 // ------------------------------------------------------------------ Shape
 
 /// Inline tensor shape: up to rank 4 (the deepest the selector uses),
@@ -328,78 +238,6 @@ class Shape {
 
   std::array<std::size_t, kMaxRank> dims_{};
   std::size_t rank_ = 0;
-};
-
-// ------------------------------------------------------------- TensorView
-
-/// Non-owning shaped slice over float storage (arena blocks, a batched
-/// tensor's rows, pool buffers). Used by the batch-assembly paths to
-/// gather/scatter per-item data without intermediate copies. The view is
-/// invalidated by whatever invalidates its storage: arena Rewind/Reset
-/// past the allocation, Release of the pooled buffer, or destruction /
-/// reallocation of the viewed tensor (DESIGN.md §5i).
-class TensorView {
- public:
-  TensorView() = default;
-  TensorView(float* data, Shape shape) : data_(data), shape_(shape) {}
-
-  const Shape& shape() const { return shape_; }
-  std::size_t rank() const { return shape_.rank(); }
-  std::size_t dim(std::size_t i) const { return shape_[i]; }
-  std::size_t numel() const { return shape_.numel(); }
-  bool empty() const { return numel() == 0; }
-
-  float* data() const { return data_; }
-
-  float& operator[](std::size_t i) const {
-    NEC_DCHECK_MSG(i < numel(), "TensorView[" << i << "] out of " << numel());
-    return data_[i];
-  }
-
-  /// 2-D accessor (rank must be 2); rank/bounds NEC_DCHECK'd like Tensor.
-  float& At(std::size_t r, std::size_t c) const {
-    NEC_DCHECK_MSG(rank() == 2, "TensorView::At on rank-" << rank());
-    NEC_DCHECK_MSG(r < shape_[0] && c < shape_[1],
-                   "TensorView::At(" << r << ", " << c << ") out of ("
-                                     << shape_[0] << ", " << shape_[1] << ")");
-    return data_[r * shape_[1] + c];
-  }
-
-  /// 3-D accessor (rank must be 3): (c, h, w).
-  float& At3(std::size_t c, std::size_t h, std::size_t w) const {
-    NEC_DCHECK_MSG(rank() == 3, "TensorView::At3 on rank-" << rank());
-    NEC_DCHECK_MSG(c < shape_[0] && h < shape_[1] && w < shape_[2],
-                   "TensorView::At3(" << c << ", " << h << ", " << w
-                                      << ") out of (" << shape_[0] << ", "
-                                      << shape_[1] << ", " << shape_[2] << ")");
-    return data_[(c * shape_[1] + h) * shape_[2] + w];
-  }
-
-  /// 4-D accessor (rank must be 4): (b, c, h, w).
-  float& At4(std::size_t b, std::size_t c, std::size_t h, std::size_t w) const {
-    NEC_DCHECK_MSG(rank() == 4, "TensorView::At4 on rank-" << rank());
-    NEC_DCHECK_MSG(b < shape_[0] && c < shape_[1] && h < shape_[2] && w < shape_[3],
-                   "TensorView::At4(" << b << ", " << c << ", " << h << ", " << w
-                                      << ") out of (" << shape_[0] << ", " << shape_[1]
-                                      << ", " << shape_[2] << ", " << shape_[3] << ")");
-    return data_[((b * shape_[1] + c) * shape_[2] + h) * shape_[3] + w];
-  }
-
-  /// Sub-view fixing the leading index: a (B, ...) view yields the
-  /// rank-(R-1) view of item `i` — the gather/scatter slice for batch
-  /// assembly. Aliasing: shares storage with this view.
-  TensorView Sub(std::size_t i) const {
-    NEC_DCHECK_MSG(rank() >= 2, "TensorView::Sub on rank-" << rank());
-    NEC_DCHECK_MSG(i < shape_[0], "TensorView::Sub(" << i << ") out of " << shape_[0]);
-    std::array<std::size_t, Shape::kMaxRank> rest{};
-    for (std::size_t d = 1; d < rank(); ++d) rest[d - 1] = shape_[d];
-    const Shape sub(rest.data(), rank() - 1);
-    return TensorView(data_ + i * sub.numel(), sub);
-  }
-
- private:
-  float* data_ = nullptr;
-  Shape shape_;
 };
 
 }  // namespace nec::core

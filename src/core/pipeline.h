@@ -68,7 +68,7 @@ class NecPipeline {
   /// (spectrogram, shadow surface, selector tensors via the scratch arena)
   /// and the result is written into `out` in place. With a warm scratch
   /// (one chunk of this shape already seen) the call performs no heap
-  /// allocation; bench_runtime_throughput asserts this at 0 mallocs/chunk.
+  /// allocation; tests/test_hot_path.cpp asserts 0 mallocs/chunk.
   /// The result has the property x_mixed + x_shadow ≈ x_background at the
   /// monitor's scale. Const: concurrent callers are safe once enrollment
   /// has happened, each with its own scratch. The neural selector runs as

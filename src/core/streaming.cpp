@@ -1,23 +1,12 @@
 #include "core/streaming.h"
 
 #include <algorithm>
-#include <chrono>
 
 #include "channel/modulation.h"
 #include "common/check.h"
 #include "obs/trace.h"
 
 namespace nec::core {
-namespace {
-
-double MsSince(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
-}  // namespace
-
 StreamingProcessor::StreamingProcessor(const NecPipeline& pipeline,
                                        double chunk_s,
                                        SelectorKind kind)
@@ -33,17 +22,12 @@ StreamingProcessor::StreamingProcessor(const NecPipeline& pipeline,
 void StreamingProcessor::ProcessChunkInto(const audio::Waveform& chunk,
                                           audio::Waveform& out) {
   NEC_TRACE_SPAN("stream.process_chunk");
-  const auto t0 = std::chrono::steady_clock::now();
   pipeline_.GenerateShadowInto(chunk, kind_, scratch_, shadow_wave_);
-  CompleteShadowChunkInto(shadow_wave_, MsSince(t0), out);
+  CompleteShadowChunkInto(shadow_wave_, out);
 }
 
 void StreamingProcessor::CompleteShadowChunkInto(
-    const audio::Waveform& shadow, double selector_ms,
-    audio::Waveform& out) {
-  timings_.selector_ms += selector_ms;
-
-  const auto t1 = std::chrono::steady_clock::now();
+    const audio::Waveform& shadow, audio::Waveform& out) {
   channel::ModulationConfig mod = pipeline_.options().modulation;
   if (mod.reference_peak <= 0.0) {
     // No explicit stream reference configured: latch one from the first
@@ -57,12 +41,8 @@ void StreamingProcessor::CompleteShadowChunkInto(
     }
     if (mod_reference_peak_ > 0.0) mod.reference_peak = mod_reference_peak_;
   }
-  {
-    NEC_TRACE_SPAN("channel.modulate_am");
-    channel::ModulateAmInto(shadow, mod, resample_plan_, out);
-  }
-  timings_.broadcast_ms += MsSince(t1);
-  ++timings_.chunks;
+  NEC_TRACE_SPAN("channel.modulate_am");
+  channel::ModulateAmInto(shadow, mod, resample_plan_, out);
 }
 
 void StreamingProcessor::BufferSamples(std::span<const float> samples) {

@@ -1,10 +1,11 @@
-// Real-time chunked processing with per-module latency accounting.
+// Real-time chunked processing.
 //
 // The paper's deployment (§VI-C, Table II) processes the monitored stream
 // in 1 s chunks: each chunk goes encoder-conditioned selector → inverse
 // STFT → ultrasonic modulation, and the total per-chunk latency must stay
 // under the ~300 ms overshadowing tolerance (§IV-C2). StreamingProcessor
-// reproduces that loop and reports wall-clock timing per module.
+// reproduces that loop; per-stage time lives in the obs trace spans and
+// the runtime's RuntimeStats histograms.
 #pragma once
 
 #include <cstdint>
@@ -15,20 +16,6 @@
 #include "core/pipeline.h"
 
 namespace nec::core {
-
-struct ModuleTimings {
-  double selector_ms = 0.0;   ///< STFT + DNN + inverse STFT
-  double broadcast_ms = 0.0;  ///< ultrasonic modulation
-  std::size_t chunks = 0;
-
-  double total_ms() const { return selector_ms + broadcast_ms; }
-  double avg_selector_ms() const {
-    return chunks ? selector_ms / chunks : 0.0;
-  }
-  double avg_broadcast_ms() const {
-    return chunks ? broadcast_ms / chunks : 0.0;
-  }
-};
 
 class StreamingProcessor {
  public:
@@ -48,8 +35,8 @@ class StreamingProcessor {
 
   /// Discards buffered samples and the stream-wide modulation-reference
   /// latch, starting a fresh stream (nec::runtime uses this to return a
-  /// faulted session to service). Cumulative timings are kept. Must be
-  /// called from the single thread that owns the processor.
+  /// faulted session to service). Must be called from the single thread
+  /// that owns the processor.
   void Reset();
 
   // --- Decomposed chunk path (runtime micro-batching; see DESIGN.md §5e).
@@ -74,14 +61,12 @@ class StreamingProcessor {
   void PopChunkInto(audio::Waveform& chunk);
 
   /// Second half of the chunk path: stream-reference latch + ultrasonic
-  /// modulation + timing accounting for a shadow produced externally
-  /// (batched GenerateShadowBatchInto). `selector_ms` is the
-  /// shadow-generation time to attribute to this chunk. Chunks of one
-  /// processor must be completed in the order they were popped. Reuses this
-  /// processor's cached modulation resampler plan, so a warm call performs
-  /// no allocation.
+  /// modulation for a shadow produced externally (batched
+  /// GenerateShadowBatchInto). Chunks of one processor must be completed in
+  /// the order they were popped. Reuses this processor's cached modulation
+  /// resampler plan, so a warm call performs no allocation.
   void CompleteShadowChunkInto(const audio::Waveform& shadow,
-                               double selector_ms, audio::Waveform& out);
+                               audio::Waveform& out);
 
   /// Full zero-allocation chunk path: GenerateShadowInto through this
   /// processor's ShadowScratch, then CompleteShadowChunkInto. Bit-identical
@@ -110,7 +95,6 @@ class StreamingProcessor {
   void RestoreStreamState(std::span<const float> tail,
                           double reference_peak);
 
-  const ModuleTimings& timings() const { return timings_; }
   std::size_t chunk_samples() const { return chunk_samples_; }
   SelectorKind kind() const { return kind_; }
   const NecPipeline& pipeline() const { return pipeline_; }
@@ -127,7 +111,6 @@ class StreamingProcessor {
   SelectorKind kind_;
   std::size_t chunk_samples_;
   audio::Waveform buffer_;
-  ModuleTimings timings_;
   /// Reused per-chunk scratch (DESIGN.md §5i) — the hot path allocates
   /// nothing after the first chunk. Processors are single-threaded by
   /// contract.

@@ -135,10 +135,14 @@ template <std::size_t MT>
 constexpr std::size_t kTileX = MT == 4 ? 3 : MT == 2 ? 4 : 6;
 #endif
 
+// An unaligned vector load straight into a register, in the form the
+// _mm*_loadu_ps intrinsics use (a may_alias vector type). Not a
+// __builtin_memcpy into a local vector: generic and haswell tuning expand
+// that by pieces (with AVX2, two 16-byte copies through the stack and one
+// 32-byte reload), a store-forwarding stall on every input load.
+typedef ConvVec ConvVecInput __attribute__((may_alias));
 inline ConvVec LoadConvVec(const float* p) {
-  ConvVec v;
-  __builtin_memcpy(&v, p, sizeof(v));
-  return v;
+  return *reinterpret_cast<const ConvVecInput*>(p);
 }
 
 // The operands of one ComputeInto call; `slab` is the padded input.

@@ -27,7 +27,6 @@
 namespace nec::nn {
 
 using core::Shape;
-using core::TensorView;
 
 class Tensor {
  public:
@@ -73,12 +72,6 @@ class Tensor {
     NEC_CHECK_MSG(!arena_backed_, "Tensor::vec() on arena-backed storage");
     return owned_;
   }
-
-  /// Non-owning shaped view of the whole tensor (aliases storage).
-  TensorView View() { return TensorView(data_, shape_); }
-  /// Rank-(R-1) aliasing view of item `i` along the leading dimension —
-  /// the gather/scatter slice used for batch assembly.
-  TensorView Sub(std::size_t i) { return View().Sub(i); }
 
   float& operator[](std::size_t i) { return data_[i]; }
   float operator[](std::size_t i) const { return data_[i]; }

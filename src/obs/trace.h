@@ -10,7 +10,8 @@
 // thread's private ring buffer. Batch spans carry flow ids that link the
 // batched selector forward back to each member chunk's completion span.
 //
-// Cost contract (verified by bench_obs_overhead): tracing is compiled in
+// Cost contract (checked by tests/test_hot_path.cpp, which holds the
+// disabled span sites of one chunk within 2 % of it): tracing is compiled in
 // everywhere but DISABLED by default, and a disabled span site costs one
 // relaxed atomic load plus a predictable branch — no clock read, no
 // allocation, no store. Enabled recording is wait-free: each thread owns
@@ -50,7 +51,7 @@ struct ThreadRing;  // one thread's private event ring (trace.cpp)
 }  // namespace internal
 
 /// Steady nanoseconds since an arbitrary process-wide anchor. One clock
-/// read; the common currency between spans and ModuleTimings-style ms
+/// read; the common currency between spans and the runtime's ms
 /// accounting (ns / 1e6 is the ms the rest of the codebase reports).
 std::uint64_t TraceNowNs();
 
@@ -99,9 +100,9 @@ class TraceRecorder {
 
   /// Appends a complete span with explicit timestamps. No-op while
   /// disabled. Wait-free after the calling thread's first record. Explicit
-  /// timestamps let a caller that already timed an interval (ModuleTimings
-  /// accounting in core::StreamingProcessor) feed the same clock reads to
-  /// both the aggregate counters and the trace.
+  /// timestamps let a caller that already timed an interval (the runtime's
+  /// shard.compute accounting) feed the same clock reads to both the
+  /// aggregate counters and the trace.
   void RecordSpan(const char* name, const char* category,
                   std::uint64_t start_ns, std::uint64_t dur_ns,
                   std::uint64_t flow_id = 0,

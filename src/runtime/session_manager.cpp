@@ -302,9 +302,7 @@ bool SessionManager::ProcessOneChunk(
       const std::uint64_t t0_ns = rec.enabled() ? obs::TraceNowNs() : 0;
       FaultInjector::Global().OnSite("strand.chunk", s->id);
       GenerateShadowAtLevelInto(s, chunk, level, s->shadow_buf);
-      const double selector_ms = MsSince(t0);
-      s->proc.CompleteShadowChunkInto(s->shadow_buf, selector_ms,
-                                      s->mod_buf);
+      s->proc.CompleteShadowChunkInto(s->shadow_buf, s->mod_buf);
       const double total_ms = MsSince(t0);
       stats_.AddChunk(total_ms);
       stats_.AddChunkE2E(MsSince(ready));
@@ -412,13 +410,8 @@ void SessionManager::RunBatch(std::vector<ContinuousBatcher::Item>&& items) {
   thread_local BatchScratch batch;
   while (batch.slots.size() < neural.size()) batch.slots.emplace_back();
   std::vector<std::optional<SessionError>> errors(items.size());
-  double selector_ms_each = 0.0;
   if (!neural.empty()) {
-    const auto tf = std::chrono::steady_clock::now();
     GenerateShadowsBisect(items, neural, 0, neural.size(), batch, errors);
-    // Attribute the batched shadow-generation wall time evenly across the
-    // chunks it served, mirroring the per-chunk selector_ms accounting.
-    selector_ms_each = MsSince(tf) / static_cast<double>(neural.size());
   }
 
   // Complete in admission order: per-session chunk order — and with it
@@ -439,8 +432,7 @@ void SessionManager::RunBatch(std::vector<ContinuousBatcher::Item>&& items) {
           break;
         }
         try {
-          s->proc.CompleteShadowChunkInto(shadow, selector_ms_each,
-                                          s->mod_buf);
+          s->proc.CompleteShadowChunkInto(shadow, s->mod_buf);
           // Chunk latency keeps its PR 2 meaning — processing time, not
           // queue wait: batch dispatch start → this chunk's completion.
           // End-to-end latency is the honest one: batcher enqueue → this
@@ -784,10 +776,6 @@ void SessionManager::RestoreSession(SessionId id,
   }
   // Fresh by contract — RestoreStreamState re-checks the processor side.
   s->proc.RestoreStreamState(snapshot.tail, snapshot.mod_reference_peak);
-}
-
-core::ModuleTimings SessionManager::SessionTimings(SessionId id) const {
-  return GetSession(id)->proc.timings();
 }
 
 RuntimeStatsSnapshot SessionManager::Stats() const {

@@ -47,7 +47,7 @@
 // exactly the sequential path's. In this mode a session's
 // StreamingProcessor is split between threads by member: the strand owns
 // the sample buffer, the owning dispatcher owns the STFT scratch /
-// modulation latch / timings — disjoint state, see streaming.h. Degraded
+// modulation latch — disjoint state, see streaming.h. Degraded
 // sessions' chunks still ride the lane FIFO but are generated singly by
 // the dispatcher that claimed the lane, so per-session completion order
 // is preserved across ladder transitions.
@@ -265,10 +265,6 @@ class SessionManager {
   /// submitted-to) session, making its future output bit-identical to
   /// the exporting session having continued. NEC_CHECKs freshness.
   void RestoreSession(SessionId id, const SessionSnapshot& snapshot);
-
-  /// Per-module latency accounting of one session's processor. Call while
-  /// the session is idle (after Drain): the counters are strand-owned.
-  core::ModuleTimings SessionTimings(SessionId id) const;
 
   RuntimeStatsSnapshot Stats() const;
 

@@ -48,13 +48,13 @@ void* AllocAlignedOrThrow(std::size_t size, std::size_t align) {
 
 }  // namespace
 
-namespace nec::bench {
+namespace nec::test {
 
 std::uint64_t AllocCount() {
   return g_alloc_count.load(std::memory_order_relaxed);
 }
 
-}  // namespace nec::bench
+}  // namespace nec::test
 
 void* operator new(std::size_t size) { return AllocOrThrow(size); }
 void* operator new[](std::size_t size) { return AllocOrThrow(size); }

@@ -1,8 +1,7 @@
 // Tests for the nec::core hot-path memory primitives (DESIGN.md §5i):
-// bump Arena + RAII ArenaScope, size-classed Pool, inline Shape,
-// non-owning TensorView, and the nn::Tensor arena-backed storage mode —
-// including the bit-exactness contract between arena-backed and owning
-// inference.
+// bump Arena + RAII ArenaScope, inline Shape, and the nn::Tensor
+// arena-backed storage mode — including the bit-exactness contract between
+// arena-backed and owning inference.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -147,61 +146,6 @@ TEST(ArenaScope, RewindsDuringExceptionUnwind) {
   EXPECT_EQ(ArenaScope::Current(), nullptr);
 }
 
-// ------------------------------------------------------------------- Pool
-
-TEST(Pool, AcquireSizesAndClassCapacity) {
-  Pool pool;
-  std::vector<float> buf = pool.Acquire(300);
-  EXPECT_EQ(buf.size(), 300u);
-  EXPECT_GE(buf.capacity(), 512u);  // next pow2 class
-}
-
-TEST(Pool, RecyclesReleasedBufferWithoutZeroing) {
-  Pool pool;
-  std::vector<float> buf = pool.Acquire(1000);
-  const float* storage = buf.data();
-  buf[0] = 123.0f;
-  buf[999] = 456.0f;
-  pool.Release(std::move(buf));
-
-  // Same class: must get the SAME storage back, stale contents retained —
-  // Acquire does not zero (consumers overwrite fully; that is the
-  // performance contract this test pins down).
-  std::vector<float> again = pool.Acquire(1000);
-  EXPECT_EQ(again.data(), storage);
-  EXPECT_EQ(again[0], 123.0f);
-  EXPECT_EQ(again[999], 456.0f);
-
-  const Pool::Stats s = pool.stats();
-  EXPECT_EQ(s.acquires, 2u);
-  EXPECT_EQ(s.hits, 1u);
-  EXPECT_EQ(s.releases, 1u);
-  EXPECT_EQ(s.discards, 0u);
-}
-
-TEST(Pool, GrowthBeyondRecycledSizeIsZeroFilled) {
-  Pool pool;
-  std::vector<float> buf = pool.Acquire(100);
-  for (std::size_t i = 0; i < 100; ++i) buf[i] = 7.0f;
-  pool.Release(std::move(buf));
-  // Larger request in the same class: the resize's growth region is
-  // value-initialized by vector semantics.
-  std::vector<float> bigger = pool.Acquire(200);
-  EXPECT_EQ(bigger[0], 7.0f);  // stale, recycled
-  for (std::size_t i = 100; i < 200; ++i) ASSERT_EQ(bigger[i], 0.0f);
-}
-
-TEST(Pool, FullBinDiscards) {
-  Pool pool(/*max_per_class=*/1);
-  std::vector<float> a = pool.Acquire(300);
-  std::vector<float> b = pool.Acquire(300);  // both live at once
-  pool.Release(std::move(a));
-  pool.Release(std::move(b));  // bin already holds one: dropped
-  const Pool::Stats s = pool.stats();
-  EXPECT_EQ(s.releases, 2u);
-  EXPECT_EQ(s.discards, 1u);
-}
-
 // ------------------------------------------------------------------ Shape
 
 TEST(Shape, InlineDimsAndNumel) {
@@ -220,46 +164,6 @@ TEST(Shape, InlineDimsAndNumel) {
 TEST(Shape, RejectsRankAboveMax) {
   EXPECT_THROW((Shape{1, 2, 3, 4, 5}), CheckError);
 }
-
-// ------------------------------------------------------------- TensorView
-
-TEST(TensorView, AliasesStorage) {
-  std::vector<float> storage(24, 0.0f);
-  TensorView view(storage.data(), Shape{2, 3, 4});
-  view.At3(1, 2, 3) = 9.0f;
-  EXPECT_EQ(storage[(1 * 3 + 2) * 4 + 3], 9.0f);
-  storage[0] = 5.0f;
-  EXPECT_EQ(view[0], 5.0f);
-}
-
-TEST(TensorView, SubSlicesLeadingDimension) {
-  std::vector<float> storage(24);
-  for (std::size_t i = 0; i < 24; ++i) storage[i] = static_cast<float>(i);
-  TensorView batch(storage.data(), Shape{2, 3, 4});
-  TensorView item1 = batch.Sub(1);
-  EXPECT_EQ(item1.rank(), 2u);
-  EXPECT_EQ(item1.dim(0), 3u);
-  EXPECT_EQ(item1.dim(1), 4u);
-  EXPECT_EQ(item1.data(), storage.data() + 12);
-  // Writes through the sub-view land in the parent storage (gather/scatter
-  // batch assembly relies on this aliasing).
-  item1.At(2, 3) = -1.0f;
-  EXPECT_EQ(storage[23], -1.0f);
-}
-
-#ifndef NDEBUG
-TEST(TensorView, DebugRejectsOutOfBoundsAndRankMisuse) {
-  std::vector<float> storage(6);
-  TensorView view(storage.data(), Shape{2, 3});
-  EXPECT_THROW(view[6], CheckError);
-  EXPECT_THROW(view.At(2, 0), CheckError);
-  EXPECT_THROW(view.At(0, 3), CheckError);
-  EXPECT_THROW(view.At3(0, 0, 0), CheckError);  // rank-2 view
-  EXPECT_THROW(view.Sub(2), CheckError);
-  TensorView flat(storage.data(), Shape{6});
-  EXPECT_THROW(flat.Sub(0), CheckError);  // rank-1 has no sub-slice
-}
-#endif
 
 // ------------------------------------------- Tensor arena-backed storage
 
@@ -308,16 +212,6 @@ TEST(TensorArena, MoveKeepsStorageMode) {
   EXPECT_TRUE(moved.arena_backed());
   EXPECT_EQ(moved.data(), storage);  // move steals the arena slice
   EXPECT_EQ(moved[15], 2.0f);
-}
-
-TEST(TensorArena, ViewAndSubAliasTensorStorage) {
-  Arena arena;
-  ArenaScope scope(arena);
-  nn::Tensor t({2, 3});
-  t.View().At(1, 2) = 4.0f;
-  EXPECT_EQ(t.At(1, 2), 4.0f);
-  t.Sub(1)[0] = 6.0f;
-  EXPECT_EQ(t.At(1, 0), 6.0f);
 }
 
 // --------------------------------------------- Arena-vs-heap bit-exactness

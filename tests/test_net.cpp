@@ -635,6 +635,37 @@ std::vector<float> MakeStream(std::uint64_t speaker_seed,
 
 // ----------------------------------------------------- server end-to-end
 
+/// Every loadgen session's shadow equals the in-process result for its
+/// (speaker_seed, ref_seed, stream) tuple. One expected shadow per pool
+/// index. Needs options.keep_shadows.
+void ExpectShadowsMatchInProcess(const SharedModel& model,
+                                 const LoadGenOptions& options,
+                                 const LoadGenReport& report) {
+  const std::size_t chunk_samples = report.chunk_samples;
+  std::vector<std::vector<float>> expected(options.stream_pool);
+  for (const auto& outcome : report.sessions) {
+    ASSERT_TRUE(outcome.completed) << outcome.error;
+    auto& want = expected[outcome.stream_index];
+    if (want.empty()) {
+      std::vector<float> stream =
+          MakeStream(outcome.speaker_seed, options.seed + 7919 * (outcome.stream_index + 1),
+                     static_cast<double>(options.chunks_per_session *
+                                         chunk_samples) /
+                         16000.0);
+      stream.resize(options.chunks_per_session * chunk_samples, 0.0f);
+      want = ExpectedShadow(model, outcome.speaker_seed, outcome.ref_seed,
+                            stream, chunk_samples,
+                            options.chunks_per_session);
+    }
+    ASSERT_EQ(outcome.shadow.size(), want.size())
+        << "session " << outcome.wire_sid;
+    ASSERT_EQ(std::memcmp(outcome.shadow.data(), want.data(),
+                          want.size() * sizeof(float)),
+              0)
+        << "session " << outcome.wire_sid << " diverged";
+  }
+}
+
 TEST(NetServerE2E, ServesBitIdenticalShadowsToInProcessManager) {
   SharedModel model;
   runtime::SessionManager manager(model.selector, model.encoder, {},
@@ -687,6 +718,34 @@ TEST(NetServerE2E, ServesBitIdenticalShadowsToInProcessManager) {
   EXPECT_EQ(stats.sessions_closed, 1u);
   EXPECT_EQ(stats.decode_errors, 0u);
   EXPECT_GT(stats.bytes_out, 0u);
+  server.Stop();
+}
+
+TEST(NetServerE2E, ServesLoadGenSessionsBitIdenticalOverSeveralConnections) {
+  // One shard, no router: many sessions multiplexed over several
+  // connections must each reproduce the in-process shadow.
+  SharedModel model;
+  runtime::SessionManager manager(model.selector, model.encoder, {},
+                                  model.ManagerOptions());
+  NetServer server(&manager, {});
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+
+  LoadGenOptions options;
+  options.endpoints = {"127.0.0.1:" + std::to_string(server.port())};
+  options.sessions = 8;
+  options.connections = 4;
+  options.chunks_per_session = 2;
+  options.stream_pool = 4;
+  options.seed = 11;
+  options.keep_shadows = true;
+  options.max_seconds = 300.0;
+  const LoadGenReport report = RunLoadGen(options);
+  ASSERT_TRUE(report.ok) << report.error;
+  EXPECT_EQ(report.sessions_completed, options.sessions);
+  EXPECT_EQ(report.sessions_faulted, 0u);
+  EXPECT_EQ(report.chunks_acked, 2u * options.sessions);
+  ExpectShadowsMatchInProcess(model, options, report);
   server.Stop();
 }
 
@@ -1152,32 +1211,8 @@ TEST(RouterFleetE2E, ServesSessionsBitIdenticalAcrossTwoShards) {
                 statuses[1].sessions_assigned_total,
             kSessions);
 
-  // Bit-exactness: every session's shadow equals the in-process result
-  // for its (speaker_seed, ref_seed, stream) tuple — shard placement must
-  // not change a single sample. One expected shadow per pool index.
-  const std::size_t chunk_samples = report.chunk_samples;
-  std::vector<std::vector<float>> expected(options.stream_pool);
-  for (const auto& outcome : report.sessions) {
-    ASSERT_TRUE(outcome.completed) << outcome.error;
-    auto& want = expected[outcome.stream_index];
-    if (want.empty()) {
-      std::vector<float> stream =
-          MakeStream(outcome.speaker_seed, options.seed + 7919 * (outcome.stream_index + 1),
-                     static_cast<double>(options.chunks_per_session *
-                                         chunk_samples) /
-                         16000.0);
-      stream.resize(options.chunks_per_session * chunk_samples, 0.0f);
-      want = ExpectedShadow(model, outcome.speaker_seed, outcome.ref_seed,
-                            stream, chunk_samples,
-                            options.chunks_per_session);
-    }
-    ASSERT_EQ(outcome.shadow.size(), want.size())
-        << "session " << outcome.wire_sid;
-    ASSERT_EQ(std::memcmp(outcome.shadow.data(), want.data(),
-                          want.size() * sizeof(float)),
-              0)
-        << "session " << outcome.wire_sid << " diverged";
-  }
+  // Bit-exactness: shard placement must not change a single sample.
+  ExpectShadowsMatchInProcess(model, options, report);
 }
 
 TEST(RouterFleetE2E, KillingOneShardFaultsOnlyItsSessions) {

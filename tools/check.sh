@@ -1,30 +1,22 @@
 #!/usr/bin/env bash
 # CI-style verification: Release build + full ctest, then a ThreadSanitizer
 # build exercising the nec::runtime concurrency tests, plus an optional
-# bench smoke step that runs the JSON-emitting perf harnesses briefly and
-# fails on malformed output.
+# bench smoke step that runs the Table II harness briefly and fails on
+# malformed output. The hot-path gates (0 mallocs per chunk on both
+# runtime arms, disabled tracing within 2 % of a chunk) are test_hot_path
+# in the full ctest run; serving throughput and latency are measured by
+# benchmark/run.sh.
 #
 #   tools/check.sh                 # release: all tests; tsan: runtime tests
 #   CHECK_TSAN_ALL=1 tools/check.sh  # run the ENTIRE suite under TSan (slow)
-#   CHECK_BENCH_SMOKE=1 tools/check.sh  # also smoke the perf JSON benches
+#   CHECK_BENCH_SMOKE=1 tools/check.sh  # also smoke bench_table2_runtime
 #   CHECK_FAULTS=1 tools/check.sh    # also run the fault-injection stress
 #                                    # suite and the conv/selector tests
 #                                    # under ASan+UBSan (the TSan run
 #                                    # above already covers it for races)
 #   CHECK_OBS=1 tools/check.sh       # also boot necd with --metrics-port,
-#                                    # scrape /metrics + /healthz, validate
-#                                    # the Chrome trace dump, and enforce
-#                                    # the disabled-tracing <2% overhead
-#                                    # guard on BENCH_hotpath.json
-#   CHECK_ALLOC=1 tools/check.sh     # also run the steady-state allocation
-#                                    # audit: bench_runtime_throughput with
-#                                    # the counting operator-new hook must
-#                                    # record 0 mallocs/chunk after warmup
-#                                    # on both the single-chunk and the
-#                                    # batched (max_batch=4) shadow path,
-#                                    # and the `alloc` JSON section (smoke +
-#                                    # the committed BENCH_hotpath.json)
-#                                    # must carry honest counts
+#                                    # scrape /metrics + /healthz, and
+#                                    # validate the Chrome trace dump
 #   CHECK_NET=1 tools/check.sh       # also run the wire-codec + v2 payload
 #                                    # fuzz tests under ASan+UBSan, boot an
 #                                    # AUTHENTICATED 2-shard fleet + router
@@ -33,8 +25,7 @@
 #                                    # shard mid-traffic (zero faults
 #                                    # required), prove a bad-secret probe
 #                                    # is rejected and counted, scrape
-#                                    # /metrics from all three daemons, and
-#                                    # validate the net_fleet bench JSON
+#                                    # /metrics from all three daemons
 #   CHECK_FLEET_OBS=1 tools/check.sh # also boot an authed 2-shard fleet +
 #                                    # router with tracing armed, push a
 #                                    # loadgen through it, assert the
@@ -44,9 +35,7 @@
 #                                    # `necctl top` frame, merge /trace
 #                                    # pulls + the client dump with
 #                                    # `necctl trace` and demand at least
-#                                    # one cross-process flow, and
-#                                    # validate the obs_fleet_overhead
-#                                    # bench section
+#                                    # one cross-process flow
 #   CHECK_JOBS=8 tools/check.sh      # override build/test parallelism
 #
 # Both builds configure with NEC_NATIVE_ARCH=OFF so the script behaves the
@@ -59,14 +48,12 @@ BENCH_SMOKE="${CHECK_BENCH_SMOKE:-0}"
 FAULTS="${CHECK_FAULTS:-0}"
 OBS="${CHECK_OBS:-0}"
 NET="${CHECK_NET:-0}"
-ALLOC="${CHECK_ALLOC:-0}"
 FLEET_OBS="${CHECK_FLEET_OBS:-0}"
 STEPS=4
 [[ "${BENCH_SMOKE}" == "1" ]] && STEPS=$((STEPS + 1))
 [[ "${FAULTS}" == "1" ]] && STEPS=$((STEPS + 1))
 [[ "${OBS}" == "1" ]] && STEPS=$((STEPS + 1))
 [[ "${NET}" == "1" ]] && STEPS=$((STEPS + 1))
-[[ "${ALLOC}" == "1" ]] && STEPS=$((STEPS + 1))
 [[ "${FLEET_OBS}" == "1" ]] && STEPS=$((STEPS + 1))
 STEP=0
 step() { STEP=$((STEP + 1)); echo "== [${STEP}/${STEPS}] $1 =="; }
@@ -75,7 +62,7 @@ step "configure + build: Release"
 cmake -B build-check-release -S . \
   -DCMAKE_BUILD_TYPE=Release \
   -DNEC_NATIVE_ARCH=OFF \
-  -DNEC_BUILD_BENCH="$([[ "${BENCH_SMOKE}" == "1" || "${NET}" == "1" || "${ALLOC}" == "1" || "${FLEET_OBS}" == "1" ]] && echo ON || echo OFF)" \
+  -DNEC_BUILD_BENCH="$([[ "${BENCH_SMOKE}" == "1" ]] && echo ON || echo OFF)" \
   -DNEC_BUILD_EXAMPLES="$([[ "${OBS}" == "1" || "${NET}" == "1" || "${FLEET_OBS}" == "1" ]] && echo ON || echo OFF)"
 cmake --build build-check-release -j "${JOBS}"
 
@@ -125,150 +112,25 @@ if [[ "${FAULTS}" == "1" ]]; then
 fi
 
 if [[ "${BENCH_SMOKE}" == "1" ]]; then
-  step "bench smoke: hot-path JSON harness"
-  # Shrunken workloads (NEC_BENCH_SMOKE) — this validates wiring and the
+  step "bench smoke: Table II JSON harness"
+  # Shrunken workload (NEC_BENCH_SMOKE) — this validates wiring and the
   # BENCH_hotpath.json contract, not performance. Numbers in the smoke
   # file are flagged "smoke": true and must not be used as baselines.
   SMOKE_JSON="build-check-release/BENCH_smoke.json"
   rm -f "${SMOKE_JSON}"
   NEC_BENCH_SMOKE=1 NEC_BENCH_JSON="${SMOKE_JSON}" \
-    ./build-check-release/bench/bench_runtime_throughput
-  NEC_BENCH_SMOKE=1 NEC_BENCH_JSON="${SMOKE_JSON}" \
     ./build-check-release/bench/bench_table2_runtime \
     --benchmark_filter=BM_NONE
-  # Fail on malformed or incomplete output: all sections present, valid
-  # JSON, honest deadline accounting (deadline_met must be derived from
-  # end-to-end latency, never compute-only p99), and the audit booleans
-  # true. The same validator then re-checks the COMMITTED
-  # BENCH_hotpath.json, where it additionally enforces the multi-core
-  # batching target (>= 1.5x at 8 sessions with >= 4 dispatch workers)
-  # whenever the recording machine had >= 4 cores.
-  bench_validate() {
-  python3 - "$1" "$2" <<'EOF'
+  python3 - "${SMOKE_JSON}" <<'EOF'
 import json, sys
-committed = sys.argv[2] == "committed"
-with open(sys.argv[1]) as f:
-    doc = json.load(f)
-
-rt = doc["runtime_throughput"]
-assert rt["all_bitexact"] is True, "runtime outputs not bit-exact"
-assert rt["rows"], "no throughput rows"
-assert "hardware_concurrency" in rt, "runtime_throughput lacks hardware_concurrency"
-for r in rt["rows"]:
-    for k in ("workers", "chunks_per_sec", "p99_ms", "e2e_p50_ms",
-              "e2e_p99_ms", "deadline_met"):
-        assert k in r, f"throughput row missing {k!r}"
-    # Honest accounting: the verdict must be the end-to-end p99 (queue
-    # wait included), not the compute-only chunk latency.
-    assert r["deadline_met"] == (r["e2e_p99_ms"] < rt["deadline_ms"]), \
-        f"deadline_met not derived from e2e latency in row {r}"
-
-ba = doc["batched"]
-assert ba["all_bitexact"] is True, "batched outputs not bit-exact"
-assert ba["rows"], "no batched rows"
-assert ba["max_batch"] >= 2, "batched section ran without batching"
-assert "hardware_concurrency" in ba, "batched section lacks hardware_concurrency"
-assert "multicore_pending" in ba, "batched section lacks multicore_pending"
-required = ("sessions", "workers", "max_batch",
-            "unbatched_chunks_per_sec", "batched_chunks_per_sec",
-            "speedup_batched_vs_unbatched", "avg_batch_size",
-            "queue_wait_p99_ms", "p99_ms", "e2e_p50_ms", "e2e_p99_ms",
-            "bitexact", "deadline_met")
-for r in ba["rows"]:
-    assert all(k in r for k in required), f"batched row missing fields: {r}"
-    assert r["bitexact"] is True, f"batched row not bit-exact: {r}"
-    assert r["deadline_met"] == (r["e2e_p99_ms"] < ba["deadline_ms"]), \
-        f"deadline_met not derived from e2e latency in row {r}"
-
-if committed:
-    assert not rt.get("smoke") and not ba.get("smoke"), \
-        "committed BENCH_hotpath.json contains smoke data"
-    assert all(r["deadline_met"] for r in ba["rows"]), \
-        "a committed batched row misses the paced e2e deadline"
-    hw = ba["hardware_concurrency"]
-    if hw >= 4:
-        assert not ba["multicore_pending"], \
-            ">= 4 cores but multicore_pending is set"
-        multi = [r for r in ba["rows"]
-                 if r["workers"] >= 4 and r["sessions"] >= 8]
-        assert multi, "no >= 4-worker batched row on a >= 4-core machine"
-        best = max(r["speedup_batched_vs_unbatched"] for r in multi)
-        assert best >= 1.5, \
-            f"multi-core batched speedup {best:.2f}x < 1.5x target"
-        print(f"bench check: multi-core target met ({best:.2f}x)")
-    else:
-        assert ba["multicore_pending"] is True, \
-            "< 4 cores but multicore_pending is unset"
-        print("bench check: NOTE — recorded on < 4 cores; the 1.5x "
-              "multi-core batched target is PENDING a >= 4-core machine")
-else:
-    t2 = doc["table2_modules"]
-    assert "selector_nec_ms" in t2 and "total_ms" in t2
-
-print(("committed" if committed else "bench smoke") + ": BENCH json ok,",
-      len(rt["rows"]), "throughput rows,", len(ba["rows"]), "batched rows")
+t2 = json.load(open(sys.argv[1]))["table2_modules"]
+assert "selector_nec_ms" in t2 and "total_ms" in t2, t2
+print("bench smoke: table2_modules ok")
 EOF
-  }
-  bench_validate "${SMOKE_JSON}" smoke
-  bench_validate BENCH_hotpath.json committed
-fi
-
-if [[ "${ALLOC}" == "1" ]]; then
-  step "allocation audit: zero-malloc steady state, single and batched"
-  # bench_runtime_throughput links bench/alloc_hook.cpp (counting operator
-  # new/delete). It runs the same chunk workload down both arms of the one
-  # shadow path — the single-chunk path of the unbatched strands and the
-  # batched path a dispatcher runs at max_batch=4 — and exits non-zero
-  # unless each performs exactly 0 heap allocations per chunk after
-  # warmup. The validator then re-checks the emitted `alloc` JSON section,
-  # and the committed BENCH_hotpath.json for the same contract.
-  ALLOC_JSON="build-check-release/BENCH_alloc_smoke.json"
-  rm -f "${ALLOC_JSON}"
-  NEC_BENCH_SMOKE=1 NEC_BENCH_JSON="${ALLOC_JSON}" \
-    ./build-check-release/bench/bench_runtime_throughput
-  alloc_validate() {
-  python3 - "$1" "$2" <<'EOF'
-import json, sys
-committed = sys.argv[2] == "committed"
-with open(sys.argv[1]) as f:
-    doc = json.load(f)
-assert "alloc" in doc, "missing `alloc` section"
-al = doc["alloc"]
-for k in ("warmup_chunks", "measured_chunks", "setup_allocs", "single",
-          "batched", "zero_alloc_steady_state"):
-    assert k in al, f"alloc section missing {k!r}"
-assert al["warmup_chunks"] >= 1, "alloc audit ran without warmup"
-assert al["measured_chunks"] >= 1, "alloc audit measured no chunks"
-for arm in ("single", "batched"):
-    for k in ("path", "total_allocs", "allocs_per_chunk"):
-        assert k in al[arm], f"alloc.{arm} missing {k!r}"
-assert al["batched"].get("max_batch") == 4, \
-    "batched arm must run the replay batch size (max_batch=4)"
-# Proof the hook counts: enrolling the audited pipelines allocates, so a
-# zero here means the counter is not engaged and the zeros below are void.
-assert al["setup_allocs"] > 0, \
-    "enrollment recorded 0 allocs — counting hook not engaged"
-# Both arms must be exactly zero — not "small", zero.
-for arm in ("single", "batched"):
-    assert al[arm]["total_allocs"] == 0, \
-        f"{arm} path allocated: {al[arm]['total_allocs']} allocs"
-    assert al[arm]["allocs_per_chunk"] == 0, \
-        f"{arm} path allocs/chunk = {al[arm]['allocs_per_chunk']}"
-assert al["zero_alloc_steady_state"] is True, \
-    "zero_alloc_steady_state flag not set"
-if committed:
-    assert not al.get("smoke"), "committed alloc section is smoke data"
-print(("committed" if committed else "alloc smoke") +
-      ": 0 mallocs/chunk on the single-chunk and batched paths "
-      f"(enrollment: {al['setup_allocs']:.0f} allocs)")
-EOF
-  }
-  alloc_validate "${ALLOC_JSON}" smoke
-  alloc_validate BENCH_hotpath.json committed
 fi
 
 if [[ "${OBS}" == "1" ]]; then
-  step "observability: live endpoints + trace dump + overhead guard"
+  step "observability: live endpoints + trace dump"
   OBS_DIR="build-check-release/obs-check"
   rm -rf "${OBS_DIR}" && mkdir -p "${OBS_DIR}"
 
@@ -335,27 +197,6 @@ for span in ("dsp.stft", "dsp.istft", "channel.modulate_am", "runtime.batch"):
     assert span in names, f"missing span {span!r}"
 print(f"obs check: trace well-formed, {len(events)} events,"
       f" {len(names)} distinct names")
-EOF
-
-  # Overhead guard on the committed baselines: the disabled-tracing arm of
-  # bench_obs_overhead must sit within 2% of the runtime_throughput
-  # sequential numbers recorded in the same BENCH_hotpath.json.
-  python3 - BENCH_hotpath.json <<'EOF'
-import json, sys
-doc = json.load(open(sys.argv[1]))
-seq = doc["runtime_throughput"]["sequential"]
-obs = doc["obs_overhead"]
-assert not obs.get("smoke"), "obs_overhead section is smoke data"
-off = obs["disabled"]
-sel_delta = 100.0 * (off["selector_ms_per_chunk"] /
-                     seq["selector_ms_per_chunk"] - 1.0)
-cps_delta = 100.0 * (1.0 - off["chunks_per_sec"] /
-                     seq["chunks_per_sec"])
-assert sel_delta < 2.0, f"selector ms/chunk regressed {sel_delta:.2f}%"
-assert cps_delta < 2.0, f"chunks/sec regressed {cps_delta:.2f}%"
-print(f"obs check: disabled-tracing overhead guard ok"
-      f" (selector {sel_delta:+.2f}%, chunks/s {cps_delta:+.2f}%,"
-      f" enabled-arm overhead {obs['enabled_overhead_pct']:.2f}%)")
 EOF
 fi
 
@@ -536,27 +377,6 @@ EOF
   kill "${SHARD1_PID}" "${SHARD2_PID}" "${ROUTER_PID}" 2>/dev/null || true
   wait "${SHARD1_PID}" "${SHARD2_PID}" "${ROUTER_PID}" 2>/dev/null || true
   trap - EXIT
-
-  # The net_fleet bench must emit a well-formed section whose serving
-  # paths are all bit-exact against the in-process reference.
-  NET_JSON="${NET_DIR}/BENCH_net_smoke.json"
-  NEC_BENCH_SMOKE=1 NEC_BENCH_JSON="${NET_JSON}" \
-    ./build-check-release/bench/bench_net_fleet
-  python3 - "${NET_JSON}" <<'EOF'
-import json, sys
-nf = json.load(open(sys.argv[1]))["net_fleet"]
-assert nf["all_bitexact"] is True, "networked serving not bit-exact"
-modes = [r["mode"] for r in nf["rows"]]
-assert modes == ["direct", "single_shard", "router_fleet"], modes
-for r in nf["rows"]:
-    assert r["bitexact"] is True and r["chunks_per_sec"] > 0, r
-fleet = nf["rows"][2]
-assert fleet["shard0_sessions"] + fleet["shard1_sessions"] == nf["sessions"]
-assert "router_added_latency_p50_ms" in nf
-print("net check: net_fleet JSON well-formed,", len(nf["rows"]),
-      "rows, shard split",
-      f"{fleet['shard0_sessions']}/{fleet['shard1_sessions']}")
-EOF
 fi
 
 if [[ "${FLEET_OBS}" == "1" ]]; then
@@ -712,33 +532,6 @@ EOF
   kill "${SHARD1_PID}" "${SHARD2_PID}" "${ROUTER_PID}" 2>/dev/null || true
   wait "${SHARD1_PID}" "${SHARD2_PID}" "${ROUTER_PID}" 2>/dev/null || true
   trap - EXIT
-
-  # The networked-tracing A/B must emit its section, and the committed
-  # baselines must already carry a non-smoke obs_fleet_overhead record.
-  FO_JSON="${FO_DIR}/BENCH_fleet_obs_smoke.json"
-  NEC_BENCH_SMOKE=1 NEC_BENCH_JSON="${FO_JSON}" \
-    ./build-check-release/bench/bench_obs_overhead
-  fleet_obs_validate() {
-  python3 - "$1" "$2" <<'EOF'
-import json, sys
-committed = sys.argv[2] == "committed"
-doc = json.load(open(sys.argv[1]))
-assert "obs_fleet_overhead" in doc, "missing obs_fleet_overhead section"
-fo = doc["obs_fleet_overhead"]
-for arm in ("disabled", "enabled"):
-    for k in ("chunks_per_sec", "latency_p50_ms", "latency_p99_ms"):
-        assert k in fo[arm], f"obs_fleet_overhead.{arm} missing {k!r}"
-    assert fo[arm]["chunks_per_sec"] > 0, fo[arm]
-assert "enabled_overhead_pct" in fo
-if committed:
-    assert not fo.get("smoke"), "committed obs_fleet_overhead is smoke data"
-print(("committed" if committed else "fleet-obs smoke") +
-      f": networked A/B ok (enabled overhead"
-      f" {fo['enabled_overhead_pct']:.2f}%)")
-EOF
-  }
-  fleet_obs_validate "${FO_JSON}" smoke
-  fleet_obs_validate BENCH_hotpath.json committed
 fi
 
 echo "check.sh: all green"
