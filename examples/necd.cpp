@@ -73,8 +73,9 @@
 // bounces NaN/Inf/wild-amplitude submits with a typed error instead of
 // sanitizing them in place. Per-session health lands in the status table.
 //
-// SIGINT/SIGTERM request a graceful shutdown: the feed loop stops, every
-// admitted strand drains, tails flush, and the stats tables still print.
+// Once the model is loaded, SIGINT/SIGTERM request a graceful shutdown: the
+// feed loop stops, every admitted strand drains, tails flush, and the stats
+// tables still print. Before that they end the process.
 //
 // All sessions share one trained Selector/SpeakerEncoder weight set; see
 // src/runtime/session_manager.h for the concurrency model.
@@ -110,6 +111,17 @@ namespace {
 volatile std::sig_atomic_t g_stop = 0;
 
 void HandleStopSignal(int) { g_stop = 1; }
+
+// A daemon dies by signal, not by EOF: drain in-flight audio and still
+// print the stats tables instead of dropping everything on the floor.
+// Armed only once there is something to drain (the model is loaded; a
+// router has none): a stop signal during training or cache loading keeps
+// its default action and ends the process, instead of setting a flag no
+// loop polls yet.
+void ArmStopSignals() {
+  std::signal(SIGINT, HandleStopSignal);
+  std::signal(SIGTERM, HandleStopSignal);
+}
 
 struct Args {
   std::size_t sessions = 8;
@@ -333,6 +345,7 @@ void PrintNetRows(const nec::net::NetStatsSnapshot& s) {
 int RunListen(const Args& args) {
   using namespace nec;
   core::StandardModel model = PickModel(args);
+  ArmStopSignals();
   runtime::SessionManager manager(model.selector, model.encoder, {},
                                   ManagerOptions(args));
   net::NetServer server(&manager,
@@ -471,6 +484,7 @@ bool ParseShardList(const std::string& spec,
 /// necd --route: front a shard fleet until SIGINT/SIGTERM.
 int RunRouter(const Args& args) {
   using namespace nec;
+  ArmStopSignals();
   net::Router::Options options;
   options.port = std::max(args.listen_port, 0);
   options.secret = args.secret;
@@ -695,11 +709,6 @@ int main(int argc, char** argv) {
     obs::TraceRecorder::Global().Enable();
   }
 
-  // A daemon dies by signal, not by EOF: drain in-flight audio and still
-  // print the stats tables instead of dropping everything on the floor.
-  std::signal(SIGINT, HandleStopSignal);
-  std::signal(SIGTERM, HandleStopSignal);
-
   if (!args.route.empty()) return RunRouter(args);
   if (args.listen_port >= 0) return RunListen(args);
 
@@ -713,6 +722,7 @@ int main(int argc, char** argv) {
                args.max_batch);
 
   core::StandardModel model = PickModel(args);
+  ArmStopSignals();
   runtime::SessionManager manager(model.selector, model.encoder, {},
                                   ManagerOptions(args));
 

@@ -15,22 +15,22 @@ void LasSelector::Enroll(std::span<const audio::Waveform> references) {
   reference_las_.assign(F, 0.0f);
 
   for (const audio::Waveform& ref : references) {
-    const dsp::Spectrogram spec = dsp::Stft(ref, config_.stft);
+    const std::vector<float> mag = dsp::StftMagnitude(ref, config_.stft);
+    const std::size_t frames = mag.size() / F;
     // Energy-gated frame average (silence diluted out).
     std::vector<double> acc(F, 0.0);
     double max_e = 0.0;
-    std::vector<double> frame_e(spec.num_frames(), 0.0);
-    for (std::size_t t = 0; t < spec.num_frames(); ++t) {
+    std::vector<double> frame_e(frames, 0.0);
+    for (std::size_t t = 0; t < frames; ++t) {
       for (std::size_t f = 0; f < F; ++f) {
-        frame_e[t] += static_cast<double>(spec.MagAt(t, f)) *
-                      spec.MagAt(t, f);
+        frame_e[t] += static_cast<double>(mag[t * F + f]) * mag[t * F + f];
       }
       max_e = std::max(max_e, frame_e[t]);
     }
     std::size_t used = 0;
-    for (std::size_t t = 0; t < spec.num_frames(); ++t) {
+    for (std::size_t t = 0; t < frames; ++t) {
       if (frame_e[t] < 0.01 * max_e) continue;
-      for (std::size_t f = 0; f < F; ++f) acc[f] += spec.MagAt(t, f);
+      for (std::size_t f = 0; f < F; ++f) acc[f] += mag[t * F + f];
       ++used;
     }
     if (used == 0) continue;

@@ -43,6 +43,10 @@ class LasSelector {
 
   bool enrolled() const { return !reference_las_.empty(); }
 
+  /// The enrolled per-bin target profile (unit L2 norm; empty before
+  /// Enroll).
+  const std::vector<float>& reference_las() const { return reference_las_; }
+
  private:
   NecConfig config_;
   std::vector<float> reference_las_;  ///< per-bin target profile

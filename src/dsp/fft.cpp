@@ -16,8 +16,8 @@ using Cd = std::complex<double>;
 
 // Iterative radix-2 Cooley–Tukey; `data.size()` must be a power of two.
 // Reference (unplanned) kernel: recomputes twiddles per call. FftPlan's
-// tables are generated by the same recurrence, so the planned kernel below
-// is bit-identical to this one.
+// tables are generated by the same recurrence, so the planned lane kernel
+// below is bit-identical to this one.
 void Radix2(std::vector<Cf>& data, bool inverse) {
   const std::size_t n = data.size();
   if (n <= 1) return;
@@ -168,32 +168,93 @@ FftPlan::FftPlan(std::size_t n) : n_(n) {
   bhat_inv_ = make_bhat(chirp_inv_);
 }
 
-void FftPlan::Radix2Planned(Cf* data, std::size_t n, bool inverse) const {
-  for (std::size_t i = 1; i < n; ++i) {
-    const std::size_t j = bitrev_[i];
-    if (i < j) std::swap(data[i], data[j]);
-  }
+namespace {
 
-  const std::vector<Cd>& twid = inverse ? twid_inv_ : twid_fwd_;
+// Lane types of the radix-2 kernel: L doubles for the butterfly arithmetic
+// and the L floats they are stored as between stages. The float type is an
+// unaligned may_alias vector (the form _mm*_loadu_ps uses), so a load is
+// one instruction straight into a register. Width 1 is plain scalars, which
+// makes a width-1 position exactly one std::complex<float>.
+typedef double LaneD __attribute__((vector_size(8 * kFftLanes)));
+typedef float LaneF
+    __attribute__((vector_size(4 * kFftLanes), aligned(4), may_alias));
+
+template <std::size_t L>
+struct Lanes;
+
+template <>
+struct Lanes<kFftLanes> {
+  using D = LaneD;
+  static D Load(const float* p) {
+    return __builtin_convertvector(*reinterpret_cast<const LaneF*>(p), D);
+  }
+  static void Store(float* p, D v) {
+    *reinterpret_cast<LaneF*>(p) = __builtin_convertvector(v, LaneF);
+  }
+};
+
+template <>
+struct Lanes<1> {
+  using D = double;
+  static D Load(const float* p) { return *p; }
+  static void Store(float* p, D v) { *p = static_cast<float>(v); }
+};
+
+// The radix-2 butterfly stages over L frames in the lane layout (position
+// j: L real parts, then L imaginary parts), input in bit-reversed order.
+// Per lane this is exactly the reference Radix2 above: the product v = x*w
+// is std::complex<double>'s (xr*wr - xi*wi, xr*wi + xi*wr), the sums are
+// rounded to float after every stage, and the twiddles are the table entries
+// the reference recurrence produces. Only non-finite inputs can differ:
+// the scalar complex product falls back to __muldc3 when both parts are NaN.
+template <std::size_t L>
+void Radix2Stages(float* data, std::size_t n, const Cd* twid, bool inverse) {
+  using Lane = Lanes<L>;
+  using D = typename Lane::D;
+  constexpr std::size_t kStride = 2 * L;
   for (std::size_t len = 2; len <= n; len <<= 1) {
-    const Cd* stage = twid.data() + (len / 2 - 1);
+    const std::size_t half = len / 2;
+    const Cd* stage = twid + (half - 1);
     for (std::size_t i = 0; i < n; i += len) {
-      for (std::size_t k = 0; k < len / 2; ++k) {
-        const Cd w = stage[k];
-        const Cd u(data[i + k]);
-        const Cd v = Cd(data[i + k + len / 2]) * w;
-        data[i + k] = Cf(static_cast<float>((u + v).real()),
-                         static_cast<float>((u + v).imag()));
-        data[i + k + len / 2] = Cf(static_cast<float>((u - v).real()),
-                                   static_cast<float>((u - v).imag()));
+      float* a = data + i * kStride;
+      float* b = a + half * kStride;
+      for (std::size_t k = 0; k < half; ++k, a += kStride, b += kStride) {
+        const double wr = stage[k].real(), wi = stage[k].imag();
+        const D ur = Lane::Load(a), ui = Lane::Load(a + L);
+        const D xr = Lane::Load(b), xi = Lane::Load(b + L);
+        const D vr = xr * wr - xi * wi;
+        const D vi = xr * wi + xi * wr;
+        Lane::Store(a, ur + vr);
+        Lane::Store(a + L, ui + vi);
+        Lane::Store(b, ur - vr);
+        Lane::Store(b + L, ui - vi);
       }
     }
   }
 
   if (inverse) {
     const float inv_n = 1.0f / static_cast<float>(n);
-    for (std::size_t i = 0; i < n; ++i) data[i] *= inv_n;
+    for (std::size_t i = 0; i < n * kStride; ++i) data[i] *= inv_n;
   }
+}
+
+}  // namespace
+
+void FftPlan::Radix2Single(Cf* data, bool inverse) const {
+  const std::size_t n = bitrev_.size();
+  for (std::size_t i = 1; i < n; ++i) {
+    const std::size_t j = bitrev_[i];
+    if (i < j) std::swap(data[i], data[j]);
+  }
+  Radix2Stages<1>(reinterpret_cast<float*>(data), n,
+                  (inverse ? twid_inv_ : twid_fwd_).data(), inverse);
+}
+
+void FftPlan::TransformLanes(float* block, bool inverse) const {
+  NEC_CHECK_MSG(!bluestein() && n_ >= 2,
+                "TransformLanes needs a radix-2 plan, size " << n_);
+  Radix2Stages<kFftLanes>(block, n_, (inverse ? twid_inv_ : twid_fwd_).data(),
+                          inverse);
 }
 
 void FftPlan::BluesteinPlanned(std::vector<Cf>& data, bool inverse,
@@ -211,9 +272,9 @@ void FftPlan::BluesteinPlanned(std::vector<Cf>& data, bool inverse,
     a[k] = Cf(static_cast<float>(v.real()), static_cast<float>(v.imag()));
   }
 
-  sub_->Radix2Planned(a.data(), m, /*inverse=*/false);
+  sub_->Radix2Single(a.data(), /*inverse=*/false);
   for (std::size_t i = 0; i < m; ++i) a[i] *= bhat[i];
-  sub_->Radix2Planned(a.data(), m, /*inverse=*/true);
+  sub_->Radix2Single(a.data(), /*inverse=*/true);
 
   for (std::size_t k = 0; k < n; ++k) {
     Cd v = Cd(a[k]) * chirp[k];
@@ -231,7 +292,7 @@ void FftPlan::Transform(std::vector<Cf>& data, bool inverse,
   if (bluestein()) {
     BluesteinPlanned(data, inverse, scratch);
   } else {
-    Radix2Planned(data.data(), n_, inverse);
+    Radix2Single(data.data(), inverse);
   }
 }
 

@@ -14,6 +14,14 @@
 // the unplanned reference kernels (the tables are generated by the exact
 // same double-precision recurrences) — tests/test_fft.cpp asserts this, and
 // it is what keeps the nec::runtime per-session bit-exactness audit valid.
+//
+// Frame-blocked transforms: the STFT and ISTFT transform many frames of one
+// size, so a radix-2 plan also runs kFftLanes frames side by side, one per
+// double lane of a native vector (TransformLanes). There is one radix-2
+// kernel, a template over the lane width; single transforms use its
+// width-1 instance. Every lane runs the same butterfly sequence on the same
+// twiddle table with float storage between stages, so a lane's output is
+// bit-identical to a single transform of that frame.
 #pragma once
 
 #include <complex>
@@ -24,6 +32,16 @@
 #include <vector>
 
 namespace nec::dsp {
+
+/// Frames per lane-blocked transform: the doubles in one native vector
+/// register (the butterflies run in double).
+#if defined(__AVX512F__)
+inline constexpr std::size_t kFftLanes = 8;
+#elif defined(__AVX__)
+inline constexpr std::size_t kFftLanes = 4;
+#else
+inline constexpr std::size_t kFftLanes = 2;
+#endif
 
 /// Reusable scratch buffers for planned transforms. Reusing one FftScratch
 /// across calls makes the streaming path allocation-free per frame. A
@@ -52,9 +70,21 @@ class FftPlan {
   void Transform(std::vector<std::complex<float>>& data, bool inverse,
                  FftScratch* scratch = nullptr) const;
 
+  /// Bit-reversal permutation of a radix-2 plan (empty for Bluestein):
+  /// input position j of the transform takes sample bitrev()[j].
+  std::span<const std::uint32_t> bitrev() const { return bitrev_; }
+
+  /// In-place transform of kFftLanes frames at once (radix-2 plans only;
+  /// inverse includes the 1/N scaling). Lane layout: position j holds the
+  /// kFftLanes real parts, then the kFftLanes imaginary parts, as floats,
+  /// so `block` has 2 * kFftLanes * size() elements. The input must already
+  /// be in bit-reversed order (position j holds sample bitrev()[j]); the
+  /// output is in natural order. Lane l is bit-identical to Transform of
+  /// frame l alone.
+  void TransformLanes(float* block, bool inverse) const;
+
  private:
-  void Radix2Planned(std::complex<float>* data, std::size_t n,
-                     bool inverse) const;
+  void Radix2Single(std::complex<float>* data, bool inverse) const;
   void BluesteinPlanned(std::vector<std::complex<float>>& data, bool inverse,
                         FftScratch* scratch) const;
 

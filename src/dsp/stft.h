@@ -7,8 +7,16 @@
 //
 // The streaming hot path calls Stft/Istft once per chunk, transforming
 // ~100 frames each; StftWorkspace carries the cached FFT plan, window and
-// per-frame scratch buffers across calls so that path performs no per-frame
+// scratch buffers across calls so that path performs no per-frame
 // allocation. The workspace-free overloads remain for one-shot callers.
+//
+// Both directions transform kFftLanes frames per FFT pass (see
+// FftPlan::TransformLanes): the forward STFT windows a block of frames
+// straight into the lane layout, folding the bit-reversal into that gather,
+// and the ISTFT scatters a block of conjugate-symmetric spectra the same
+// way, then overlap-adds the block in ascending frame order. Every output
+// is bit-identical to transforming one frame at a time. Bluestein sizes
+// (the paper's 1200) fill the same block frame by frame.
 #pragma once
 
 #include <complex>
@@ -47,9 +55,10 @@ struct StftWorkspace {
 
   std::shared_ptr<const FftPlan> plan;
   std::vector<float> window;
-  std::vector<float> frame;                 ///< windowed analysis frame
-  std::vector<std::complex<float>> half;    ///< half spectrum per frame
-  std::vector<float> time;                  ///< inverse-FFT output per frame
+  std::vector<float> block;  ///< kFftLanes frames in the FFT lane layout
+  std::vector<float> frame;                 ///< windowed frame (Bluestein)
+  std::vector<std::complex<float>> half;    ///< half spectrum (Bluestein)
+  std::vector<float> time;                  ///< inverse output (Bluestein)
   std::vector<double> acc, wsum;            ///< overlap-add accumulators
   FftScratch fft;
 
@@ -115,6 +124,12 @@ Spectrogram Stft(const audio::Waveform& wave, const StftConfig& config,
 /// performs no allocation — the streaming per-chunk path.
 void Stft(const audio::Waveform& wave, const StftConfig& config,
           StftWorkspace& ws, Spectrogram& out);
+
+/// Magnitudes only, frame-major (t * num_bins + f), bit-identical to
+/// Stft(...).mag(): the same transform without the phase (std::arg) that
+/// magnitude-only consumers such as enrollment's LAS would discard.
+std::vector<float> StftMagnitude(const audio::Waveform& wave,
+                                 const StftConfig& config);
 
 /// Inverse STFT with windowed overlap-add and window-square normalization.
 /// `num_samples` trims/pads the reconstruction to an exact length

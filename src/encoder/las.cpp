@@ -17,17 +17,18 @@ std::vector<float> LasImpl(const audio::Waveform& wave,
                              .win_length = config.win_length,
                              .hop_length = config.hop_length,
                              .window = dsp::WindowType::kHann};
-  const dsp::Spectrogram spec = dsp::Stft(wave, stft);
-  const std::size_t bins = spec.num_bins();
+  const std::vector<float> mag = dsp::StftMagnitude(wave, stft);
+  const std::size_t bins = stft.num_bins();
+  const std::size_t frames = mag.size() / bins;
   std::vector<float> las(bins, 0.0f);
 
   // Frame energies for the voiced-frame gate.
-  std::vector<float> frame_energy(spec.num_frames(), 0.0f);
+  std::vector<float> frame_energy(frames, 0.0f);
   float max_energy = 0.0f;
-  for (std::size_t t = 0; t < spec.num_frames(); ++t) {
+  for (std::size_t t = 0; t < frames; ++t) {
     double acc = 0.0;
     for (std::size_t f = 0; f < bins; ++f) {
-      const float m = spec.MagAt(t, f);
+      const float m = mag[t * bins + f];
       acc += static_cast<double>(m) * m;
     }
     frame_energy[t] = static_cast<float>(acc);
@@ -36,10 +37,10 @@ std::vector<float> LasImpl(const audio::Waveform& wave,
   const float gate = rel_threshold * rel_threshold * max_energy;
 
   std::size_t used = 0;
-  for (std::size_t t = 0; t < spec.num_frames(); ++t) {
+  for (std::size_t t = 0; t < frames; ++t) {
     if (frame_energy[t] < gate) continue;
     for (std::size_t f = 0; f < bins; ++f) {
-      las[f] += spec.MagAt(t, f);
+      las[f] += mag[t * bins + f];
     }
     ++used;
   }

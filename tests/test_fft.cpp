@@ -1,7 +1,9 @@
 // Tests for the FFT kernels: radix-2, Bluestein (arbitrary sizes including
-// the paper's 1200-point transform), real-FFT wrappers.
+// the paper's 1200-point transform), real-FFT wrappers, and the
+// lane-blocked radix-2 kernel against the unplanned reference.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <complex>
 #include <numbers>
@@ -154,6 +156,103 @@ TEST_P(FftPlannedBitExact, RealWrappersMatchAllocatingPath) {
 INSTANTIATE_TEST_SUITE_P(Sizes, FftPlannedBitExact,
                          ::testing::Values(2, 8, 256, 1024, 100, 120, 601,
                                            1200, 17, 97, 509));
+
+// ------------------------------------------------------------ lane kernel
+
+// Packs frames[first, first + kFftLanes) into TransformLanes' layout, in
+// bit-reversed order. Lanes past the end take `filler` (their output is
+// not checked, so they show only that lanes do not bleed into each other).
+std::vector<float> PackLanes(const FftPlan& plan,
+                             const std::vector<std::vector<Cf>>& frames,
+                             std::size_t first, const std::vector<Cf>& filler) {
+  const std::size_t n = plan.size(), L = kFftLanes;
+  std::vector<float> block(2 * L * n);
+  for (std::size_t j = 0; j < n; ++j) {
+    for (std::size_t l = 0; l < L; ++l) {
+      const std::vector<Cf>& x =
+          first + l < frames.size() ? frames[first + l] : filler;
+      block[j * 2 * L + l] = x[plan.bitrev()[j]].real();
+      block[j * 2 * L + L + l] = x[plan.bitrev()[j]].imag();
+    }
+  }
+  return block;
+}
+
+// Transforms `frames` kFftLanes at a time and asserts every frame's output
+// has the bits of the unplanned reference kernel.
+void ExpectLanesMatchReference(const std::vector<std::vector<Cf>>& frames,
+                               bool inverse, const std::vector<Cf>& filler) {
+  const std::size_t n = frames.front().size(), L = kFftLanes;
+  const auto plan = GetFftPlan(n);
+  for (std::size_t first = 0; first < frames.size(); first += L) {
+    std::vector<float> block = PackLanes(*plan, frames, first, filler);
+    plan->TransformLanes(block.data(), inverse);
+    for (std::size_t l = 0; l < L && first + l < frames.size(); ++l) {
+      std::vector<Cf> want = frames[first + l];
+      detail::FftUnplanned(want, inverse);
+      for (std::size_t k = 0; k < n; ++k) {
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(block[k * 2 * L + l]),
+                  std::bit_cast<std::uint32_t>(want[k].real()))
+            << "n " << n << " frame " << first + l << " bin " << k
+            << " inverse " << inverse;
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(block[k * 2 * L + L + l]),
+                  std::bit_cast<std::uint32_t>(want[k].imag()))
+            << "n " << n << " frame " << first + l << " bin " << k
+            << " inverse " << inverse;
+      }
+    }
+  }
+}
+
+TEST(FftLanes, BitIdenticalToUnplannedReference) {
+  // Every radix-2 size up to 4096, both directions, with block fills of
+  // one frame, one short of a block, a full block and one past it.
+  const std::size_t L = kFftLanes;
+  for (std::size_t n = 2; n <= 4096; n *= 2) {
+    for (const std::size_t fill : {std::size_t{1}, L - 1, L, L + 1}) {
+      Rng rng(n * 31 + fill);
+      std::vector<std::vector<Cf>> frames(fill, std::vector<Cf>(n));
+      for (auto& x : frames) {
+        for (Cf& v : x) v = Cf(rng.GaussianF(), rng.GaussianF());
+      }
+      std::vector<Cf> filler(n);
+      for (Cf& v : filler) v = Cf(rng.GaussianF(), rng.GaussianF());
+      for (const bool inverse : {false, true}) {
+        ExpectLanesMatchReference(frames, inverse, filler);
+      }
+    }
+  }
+}
+
+TEST(FftLanes, CancellingValuesPinTheButterflyOrder) {
+  // On random inputs the rounding of a reordered butterfly rarely shows.
+  // These two frames make it show. In the first, 1 + 2^-30 is rounded to
+  // float 1 after the first stage and then cancels against -1: the output
+  // keeps 2^-30 if sums stay in double between stages. In the second, the
+  // only nonzero input, (r, -r) forward or (r, r) inverse, meets the
+  // twiddle cos(pi/4) -/+ i sin(pi/4) at the last stage, where the real
+  // part of the product is r*c - r*s, two near-equal products that cancel:
+  // a fused multiply-add keeps the rounding error of r*c and changes the
+  // result's bits.
+  const std::size_t n = 8;
+  const float r = 1.0f / 3.0f;
+  for (const bool inverse : {false, true}) {
+    std::vector<Cf> storage(n), product(n);
+    storage[0] = Cf(1.0f, 0.0f);
+    storage[4] = Cf(std::ldexp(1.0f, -30), 0.0f);
+    storage[2] = Cf(-1.0f, 0.0f);
+    product[1] = Cf(r, inverse ? r : -r);
+    std::vector<std::vector<Cf>> frames;
+    for (std::size_t l = 0; l < kFftLanes; ++l) {
+      frames.push_back(l % 2 == 0 ? storage : product);
+    }
+    ExpectLanesMatchReference(frames, inverse, storage);
+
+    std::vector<Cf> want = storage;
+    detail::FftUnplanned(want, inverse);
+    EXPECT_EQ(want[0], Cf(0.0f, 0.0f)) << "the 2^-30 term must cancel";
+  }
+}
 
 TEST(FftPlan, CacheReturnsSameInstance) {
   const auto a = GetFftPlan(1200);

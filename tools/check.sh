@@ -136,8 +136,9 @@ if [[ "${OBS}" == "1" ]]; then
 
   # Boot necd with an ephemeral metrics port; it prints the bound port on
   # stdout. The stream is long enough that the scrape below happens while
-  # sessions are live.
-  ./build-check-release/examples/necd \
+  # sessions are live. The untrained tiny model keeps the stage hermetic:
+  # the standard model would first train for minutes without a cache.
+  ./build-check-release/examples/necd --model tiny \
     --sessions 2 --seconds 20 --max-batch 2 --metrics-port 0 \
     --trace-out "${OBS_DIR}/trace.json" \
     > "${OBS_DIR}/necd.out" 2> "${OBS_DIR}/necd.err" &
