@@ -1,68 +1,55 @@
-// necd — the NEC protection daemon.
+// necd — the NEC protection daemon: a shard or a router (`necd --help`
+// prints the flags of each).
 //
-// Spins up N concurrent protection sessions (one per monitored room /
-// recorder, each enrolled on its own target speaker), drives synthetic
-// monitored streams through the nec::runtime SessionManager in
-// capture-callback-sized pieces, and prints a runtime stats table:
-// aggregate throughput, per-chunk latency quantiles, and the verdict
-// against the paper's ~300 ms overshadowing deadline (§IV-C2).
+// The paper deploys NEC as one device serving the monitored rooms around
+// it (§IV-C, Fig. 6); here each room's recorder is a wire session
+// (DESIGN.md §5h). --listen turns necd into a shard: a TCP server speaking
+// the NEC wire protocol (port 0 = ephemeral; the bound port is printed on
+// stdout). Clients open seed-enrolled sessions and stream chunks through
+// the nec::runtime SessionManager; all sessions share one Selector/
+// SpeakerEncoder weight set (see src/runtime/session_manager.h).
+// --model tiny serves an untrained seeded model (deterministic, no
+// training cache) for tests and benches. `necctl loadgen --endpoints
+// 127.0.0.1:PORT` drives synthetic sessions against a shard or a router.
 //
-//   necd [--sessions N] [--workers K] [--seconds S] [--chunk-s C]
-//        [--policy block|reject|drop] [--queue Q] [--las]
-//        [--max-batch B] [--deadline-ms D] [--no-pace]
-//        [--on-fault fault|degrade] [--degrade] [--reject-bad-input]
-//        [--metrics-port P] [--trace-out FILE]
-//        [--log-level trace|debug|info|warn|error|off] [--log-json]
-//        [--listen PORT] [--route SHARDS] [--model standard|tiny]
-//        [--secret S] [--saturate-depth N] [--recover-depth N]
+// --route turns necd into a router instead: SHARDS is a comma-separated
+// list of host:port:health_port triples; new wire sessions are
+// consistent-hashed onto healthy shards, /healthz probes eject and readmit
+// them, and sessions pinned to a dead shard fault with a typed error while
+// the rest keep streaming. A router's --listen (if given) is its own bind
+// port; otherwise an ephemeral one is picked and printed.
 //
 // --secret arms the v2 auth handshake on whatever face(s) the process
-// serves: a --listen shard challenges its clients, a --route router both
-// challenges its clients and answers its shards' challenges. A router's
+// serves: a shard challenges its clients, a router both challenges its
+// clients and answers its shards' challenges. A router's
 // /drain?shard=host:port metrics endpoint starts a zero-fault draining
 // reshard; --saturate-depth/--recover-depth arm queue-depth admission
 // control (shed new sessions with typed kOverload, hysteretic recovery).
 //
-// The synthetic feed is real-time paced by default: each session receives
-// capture-callback-sized pieces at the audio rate, like a live microphone
-// — so the latency quantiles mean what they would in deployment. --no-pace
-// replays the whole workload as fast as possible instead (offline
-// throughput mode; end-to-end latency then measures backlog, not service).
-//
-// Networked serving (DESIGN.md §5h): --listen turns necd into a shard —
-// a TCP server speaking the NEC wire protocol (port 0 = ephemeral; the
-// bound port is printed on stdout). Clients open seed-enrolled sessions
-// and stream chunks; all runtime machinery (micro-batching, degradation
-// ladder, fault containment) applies unchanged. --route turns necd into
-// a router instead: SHARDS is a comma-separated list of
-// host:port:health_port triples; new wire sessions are consistent-hashed
-// onto healthy shards, /healthz probes eject and readmit them, and
-// sessions pinned to a dead shard fault with a typed error while the
-// rest keep streaming. --model tiny serves an untrained seeded model
-// (deterministic, no training cache) for tests and benches.
-//
 // Observability (DESIGN.md §5g): --metrics-port starts a loopback HTTP
-// listener (port 0 = ephemeral; the bound port is printed) serving
+// listener (port 0 = ephemeral; the bound port is printed). Both faces
+// serve
 //   /metrics       Prometheus text exposition incl. latency histogram
 //                  buckets, scrape-ready
 //   /metrics.json  the same families as JSON
 //   /healthz       liveness + uptime
-//   /sessions      per-session status (state, ladder rung, fault) as JSON
 //   /trace         live Chrome-trace window of this process's rings
-// A router additionally serves /fleet (human table) and /fleet.json —
+// A shard adds /sessions (per-session state, ladder rung, fault as JSON).
+// A router adds /shards, /drain, /fleet (human table) and /fleet.json —
 // every member shard's /metrics scraped and merged: counters summed,
 // histograms bucket-merged, per-shard breakdown rows (`necctl top`
 // refreshes over it). `necctl stats --url http://127.0.0.1:P` scrapes
 // and pretty-prints /metrics. --trace-out enables pipeline tracing
 // (spans for every stage and runtime hop, flow arrows linking batched
 // chunks) and writes Chrome trace JSON — loadable in Perfetto — after
-// the drain; --trace arms the recorder without a dump file so /trace
-// serves a live window (`necctl trace` merges those across the fleet).
+// the SIGINT/SIGTERM drain; --trace arms the recorder without a dump file
+// so /trace serves a live window (`necctl trace` merges those across the
+// fleet).
 //
-// --max-batch > 1 routes ready chunks through the continuous batcher
-// (batched selector forwards across sessions, admitted earliest-deadline-
-// first as dispatch slots free; see src/runtime/batcher.h) — per-session
-// output stays bit-identical.
+// --max-batch > 1 routes a shard's ready chunks through the continuous
+// batcher (batched selector forwards across sessions, admitted earliest-
+// deadline-first against --deadline-ms as dispatch slots free; see
+// src/runtime/batcher.h) — per-session output stays bit-identical.
 //
 // Fault tolerance (DESIGN.md §5f): --on-fault picks what a session does
 // when a chunk keeps failing — fault (default: the session parks in
@@ -71,21 +58,19 @@
 // deadline watchdog so sustained over-budget chunks also step down the
 // ladder (with automatic recovery probes back up). --reject-bad-input
 // bounces NaN/Inf/wild-amplitude submits with a typed error instead of
-// sanitizing them in place. Per-session health lands in the status table.
+// sanitizing them in place. Per-session health shows in /sessions.
 //
-// Once the model is loaded, SIGINT/SIGTERM request a graceful shutdown: the
-// feed loop stops, every admitted strand drains, tails flush, and the stats
-// tables still print. Before that they end the process.
-//
-// All sessions share one trained Selector/SpeakerEncoder weight set; see
-// src/runtime/session_manager.h for the concurrency model.
+// Once a shard's model is loaded (a router: once it starts), SIGINT/
+// SIGTERM request a graceful shutdown: the listener stops, every admitted
+// strand drains, --trace-out's file is written and an exit stats table
+// prints. Before that they end the process.
 #include <algorithm>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -102,18 +87,17 @@
 #include "obs/trace.h"
 #include "runtime/session_manager.h"
 #include "runtime/stats_export.h"
-#include "synth/dataset.h"
 
 namespace {
 
-// Set by the SIGINT/SIGTERM handler; the feed loop polls it. sig_atomic_t
-// is the only object a signal handler may portably write.
+// Set by the SIGINT/SIGTERM handler; the serving loop polls it.
+// sig_atomic_t is the only object a signal handler may portably write.
 volatile std::sig_atomic_t g_stop = 0;
 
 void HandleStopSignal(int) { g_stop = 1; }
 
 // A daemon dies by signal, not by EOF: drain in-flight audio and still
-// print the stats tables instead of dropping everything on the floor.
+// print the stats table instead of dropping everything on the floor.
 // Armed only once there is something to drain (the model is loaded; a
 // router has none): a stop signal during training or cache loading keeps
 // its default action and ends the process, instead of setting a flag no
@@ -123,10 +107,14 @@ void ArmStopSignals() {
   std::signal(SIGTERM, HandleStopSignal);
 }
 
+void WaitForStopSignal() {
+  while (!g_stop) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  }
+}
+
 struct Args {
-  std::size_t sessions = 8;
   std::size_t workers = std::max(1u, std::thread::hardware_concurrency());
-  double seconds = 6.0;
   double chunk_s = 1.0;
   std::size_t queue = 1024;
   nec::runtime::OverflowPolicy policy =
@@ -134,7 +122,6 @@ struct Args {
   nec::core::SelectorKind kind = nec::core::SelectorKind::kNeural;
   std::size_t max_batch = 1;
   double deadline_ms = 300.0;
-  bool pace = true;  ///< feed at the audio rate (false = offline replay)
   nec::runtime::FaultPolicy on_fault = nec::runtime::FaultPolicy::kFault;
   bool degrade_on_deadline = false;
   bool reject_bad_input = false;
@@ -154,13 +141,22 @@ struct Args {
   std::uint64_t recover_depth = 0;
 };
 
-const char* PolicyName(nec::runtime::OverflowPolicy p) {
-  switch (p) {
-    case nec::runtime::OverflowPolicy::kBlock: return "block";
-    case nec::runtime::OverflowPolicy::kReject: return "reject";
-    case nec::runtime::OverflowPolicy::kDropOldest: return "drop-oldest";
-  }
-  return "?";
+[[noreturn]] void Usage(int code) {
+  std::fprintf(stderr,
+               "usage: necd --listen PORT [--model standard|tiny]\n"
+               "            [--workers K] [--queue Q]\n"
+               "            [--policy block|reject|drop] [--chunk-s C]\n"
+               "            [--las] [--max-batch B] [--deadline-ms D]\n"
+               "            [--on-fault fault|degrade] [--degrade]\n"
+               "            [--reject-bad-input] [--secret S] [common]\n"
+               "       necd --route host:port:health_port,...\n"
+               "            [--listen PORT] [--secret S]\n"
+               "            [--saturate-depth N] [--recover-depth N]\n"
+               "            [common]\n"
+               "common: [--metrics-port P] [--trace-out FILE] [--trace]\n"
+               "        [--log-level trace|debug|info|warn|error|off]\n"
+               "        [--log-json]\n");
+  std::exit(code);
 }
 
 Args Parse(int argc, char** argv) {
@@ -174,12 +170,8 @@ Args Parse(int argc, char** argv) {
       }
       return argv[++i];
     };
-    if (flag == "--sessions") {
-      args.sessions = std::strtoul(next(), nullptr, 10);
-    } else if (flag == "--workers") {
+    if (flag == "--workers") {
       args.workers = std::strtoul(next(), nullptr, 10);
-    } else if (flag == "--seconds") {
-      args.seconds = std::strtod(next(), nullptr);
     } else if (flag == "--chunk-s") {
       args.chunk_s = std::strtod(next(), nullptr);
     } else if (flag == "--queue") {
@@ -200,8 +192,6 @@ Args Parse(int argc, char** argv) {
       args.kind = nec::core::SelectorKind::kLasMask;
     } else if (flag == "--max-batch") {
       args.max_batch = std::strtoul(next(), nullptr, 10);
-    } else if (flag == "--no-pace") {
-      args.pace = false;
     } else if (flag == "--deadline-ms") {
       args.deadline_ms = std::strtod(next(), nullptr);
     } else if (flag == "--on-fault") {
@@ -249,32 +239,18 @@ Args Parse(int argc, char** argv) {
         std::exit(2);
       }
     } else {
-      std::fprintf(stderr,
-                   "usage: necd [--sessions N] [--workers K] [--seconds S]\n"
-                   "            [--chunk-s C] [--policy block|reject|drop]\n"
-                   "            [--queue Q] [--las] [--max-batch B]\n"
-                   "            [--deadline-ms D] [--no-pace]\n"
-                   "            [--on-fault fault|degrade] [--degrade]\n"
-                   "            [--reject-bad-input] [--metrics-port P]\n"
-                   "            [--trace-out FILE] [--trace] [--log-json]\n"
-                   "            [--log-level trace|debug|info|warn|error|"
-                   "off]\n"
-                   "            [--listen PORT] [--model standard|tiny]\n"
-                   "            [--route host:port:health_port,...]\n"
-                   "            [--secret S] [--saturate-depth N]\n"
-                   "            [--recover-depth N]\n");
-      std::exit(flag == "--help" || flag == "-h" ? 0 : 2);
+      Usage(flag == "--help" || flag == "-h" ? 0 : 2);
     }
   }
-  // In router mode --listen (if given) is the router's own bind port;
-  // otherwise an ephemeral one is picked and printed.
+  // A process is a shard or a router; with neither face it has no work.
+  if (args.route.empty() && args.listen_port < 0) Usage(2);
   if (args.max_batch < 1 || args.deadline_ms <= 0.0) {
     std::fprintf(stderr,
                  "necd: --max-batch must be >= 1 and --deadline-ms > 0\n");
     std::exit(2);
   }
-  if (args.seconds <= 0.0 || args.chunk_s <= 0.0) {
-    std::fprintf(stderr, "necd: --seconds and --chunk-s must be > 0\n");
+  if (args.chunk_s <= 0.0) {
+    std::fprintf(stderr, "necd: --chunk-s must be > 0\n");
     std::exit(2);
   }
   return args;
@@ -315,6 +291,77 @@ nec::runtime::SessionManager::Options ManagerOptions(const Args& args) {
                                      ? runtime::BadInputPolicy::kReject
                                      : runtime::BadInputPolicy::kSanitize,
                     .degrade_on_deadline = args.degrade_on_deadline}};
+}
+
+double SecondsSince(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
+/// Registers the endpoints a shard and a router both serve: /metrics and
+/// /metrics.json render `families()` per scrape, and /trace serves the
+/// live trace window (empty unless --trace / --trace-out armed the
+/// recorder; `necctl trace` pulls it from every fleet member and merges
+/// the rings into one cross-process file).
+void HandleSharedEndpoints(
+    nec::obs::MetricsServer& metrics,
+    std::function<std::vector<nec::obs::MetricFamily>()> families) {
+  using namespace nec;
+  metrics.Handle("/metrics", [families](const std::string&,
+                                        const std::string&) {
+    obs::HttpResponse resp;
+    resp.content_type = "text/plain; version=0.0.4; charset=utf-8";
+    resp.body = obs::RenderPrometheusText(families());
+    return resp;
+  });
+  metrics.Handle("/metrics.json", [families](const std::string&,
+                                             const std::string&) {
+    obs::HttpResponse resp;
+    resp.content_type = "application/json";
+    resp.body = obs::RenderMetricsJson(families());
+    return resp;
+  });
+  metrics.Handle("/trace", [](const std::string&, const std::string&) {
+    obs::HttpResponse resp;
+    resp.content_type = "application/json";
+    resp.body = obs::TraceRecorder::Global().ChromeTraceJson();
+    return resp;
+  });
+}
+
+/// Binds the metrics listener and prints its port on stdout, where
+/// scripts grep it when --metrics-port 0 picked an ephemeral one.
+bool StartMetrics(nec::obs::MetricsServer& metrics, int port) {
+  std::string error;
+  if (!metrics.Start({.host = "127.0.0.1", .port = port}, &error)) {
+    std::fprintf(stderr, "necd: metrics listener failed: %s\n",
+                 error.c_str());
+    return false;
+  }
+  std::printf("necd: metrics listening on http://127.0.0.1:%d\n",
+              metrics.port());
+  std::fflush(stdout);
+  return true;
+}
+
+/// --trace-out: called once the drain has stopped every recording
+/// thread, so the rings are quiescent.
+void DumpTrace(const std::string& path) {
+  using namespace nec;
+  obs::TraceRecorder& rec = obs::TraceRecorder::Global();
+  std::ofstream out(path);
+  if (!out) {
+    std::fprintf(stderr, "necd: cannot write trace to %s\n", path.c_str());
+  } else {
+    rec.WriteChromeTrace(out);
+    NEC_LOG_INFO("necd",
+                 "trace written to %s (%llu events held, %llu dropped by "
+                 "ring wraparound)",
+                 path.c_str(),
+                 static_cast<unsigned long long>(rec.events_recorded()),
+                 static_cast<unsigned long long>(rec.events_dropped()));
+  }
+  rec.Disable();
 }
 
 void PrintNetRows(const nec::net::NetStatsSnapshot& s) {
@@ -359,42 +406,27 @@ int RunListen(const Args& args) {
   std::printf("necd: wire listening on 127.0.0.1:%d\n", server.port());
   std::fflush(stdout);
 
+  // Handlers run on the listener thread; everything they touch (Stats
+  // snapshot, SessionStatus, server counters) is thread-safe by contract.
   obs::MetricsServer metrics;
   const auto started_at = std::chrono::steady_clock::now();
   if (args.metrics_port >= 0) {
-    const auto families = [&] {
+    HandleSharedEndpoints(metrics, [&] {
       auto fams = runtime::SnapshotToMetricFamilies(manager.Stats());
       auto net_fams =
           net::NetStatsToMetricFamilies(server.StatsSnapshot(), "server");
       fams.insert(fams.end(), net_fams.begin(), net_fams.end());
       fams.push_back(runtime::HopLatencyFamily());
       return fams;
-    };
-    metrics.Handle("/metrics", [families](const std::string&,
-                                          const std::string&) {
-      obs::HttpResponse resp;
-      resp.content_type = "text/plain; version=0.0.4; charset=utf-8";
-      resp.body = obs::RenderPrometheusText(families());
-      return resp;
-    });
-    metrics.Handle("/metrics.json", [families](const std::string&,
-                                               const std::string&) {
-      obs::HttpResponse resp;
-      resp.content_type = "application/json";
-      resp.body = obs::RenderMetricsJson(families());
-      return resp;
     });
     metrics.Handle("/healthz", [&manager, started_at](const std::string&,
                                                       const std::string&) {
-      const double uptime_s =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        started_at)
-              .count();
       obs::HttpResponse resp;
       resp.content_type = "application/json";
       resp.body = "{\"status\":\"ok\",\"uptime_s\":" +
-                  std::to_string(uptime_s) + ",\"sessions\":" +
-                  std::to_string(manager.num_sessions()) + "}\n";
+                  std::to_string(SecondsSince(started_at)) +
+                  ",\"sessions\":" + std::to_string(manager.num_sessions()) +
+                  "}\n";
       return resp;
     });
     metrics.Handle("/sessions", [&manager](const std::string&,
@@ -404,33 +436,15 @@ int RunListen(const Args& args) {
       resp.body = runtime::SessionsJson(manager) + "\n";
       return resp;
     });
-    // Live trace window (requires --trace / --trace-out; empty trace
-    // otherwise). `necctl trace` pulls this from every fleet member and
-    // merges the rings into one cross-process file.
-    metrics.Handle("/trace", [](const std::string&, const std::string&) {
-      obs::HttpResponse resp;
-      resp.content_type = "application/json";
-      resp.body = obs::TraceRecorder::Global().ChromeTraceJson();
-      return resp;
-    });
-    if (!metrics.Start({.host = "127.0.0.1", .port = args.metrics_port},
-                       &error)) {
-      std::fprintf(stderr, "necd: metrics listener failed: %s\n",
-                   error.c_str());
-      return 2;
-    }
-    std::printf("necd: metrics listening on http://127.0.0.1:%d\n",
-                metrics.port());
-    std::fflush(stdout);
+    if (!StartMetrics(metrics, args.metrics_port)) return 2;
   }
 
-  while (!g_stop) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  }
+  WaitForStopSignal();
   NEC_LOG_INFO("necd", "stop signal received — draining shard");
   server.Stop();
   manager.Drain();
   metrics.Stop();
+  if (!args.trace_out.empty()) DumpTrace(args.trace_out);
 
   const runtime::RuntimeStatsSnapshot stats = manager.Stats();
   std::printf("\n============================ necd stats "
@@ -523,30 +537,10 @@ int RunRouter(const Args& args) {
   obs::MetricsServer metrics;
   const auto started_at = std::chrono::steady_clock::now();
   if (args.metrics_port >= 0) {
-    const auto router_families = [&router] {
+    HandleSharedEndpoints(metrics, [&router] {
       auto fams = router.MetricFamilies();
       fams.push_back(runtime::HopLatencyFamily());
       return fams;
-    };
-    metrics.Handle("/metrics", [router_families](const std::string&,
-                                                 const std::string&) {
-      obs::HttpResponse resp;
-      resp.content_type = "text/plain; version=0.0.4; charset=utf-8";
-      resp.body = obs::RenderPrometheusText(router_families());
-      return resp;
-    });
-    metrics.Handle("/metrics.json", [router_families](const std::string&,
-                                                      const std::string&) {
-      obs::HttpResponse resp;
-      resp.content_type = "application/json";
-      resp.body = obs::RenderMetricsJson(router_families());
-      return resp;
-    });
-    metrics.Handle("/trace", [](const std::string&, const std::string&) {
-      obs::HttpResponse resp;
-      resp.content_type = "application/json";
-      resp.body = obs::TraceRecorder::Global().ChromeTraceJson();
-      return resp;
     });
     // Merged fleet view: scrape every member shard's /metrics, sum
     // counters, bucket-merge histograms (DESIGN.md §5g). Runs on the
@@ -577,16 +571,13 @@ int RunRouter(const Args& args) {
       std::size_t up = 0;
       const auto statuses = router.ShardStatuses();
       for (const auto& status : statuses) up += status.up ? 1 : 0;
-      const double uptime_s =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        started_at)
-              .count();
       obs::HttpResponse resp;
       resp.content_type = "application/json";
       // A router with zero healthy shards is alive but not serviceable.
       resp.status = up > 0 ? 200 : 503;
       resp.body = "{\"status\":\"" + std::string(up > 0 ? "ok" : "no-shards") +
-                  "\",\"uptime_s\":" + std::to_string(uptime_s) +
+                  "\",\"uptime_s\":" +
+                  std::to_string(SecondsSince(started_at)) +
                   ",\"shards_up\":" + std::to_string(up) +
                   ",\"shards\":" + std::to_string(statuses.size()) + "}\n";
       return resp;
@@ -650,23 +641,14 @@ int RunRouter(const Args& args) {
       }
       return resp;
     });
-    if (!metrics.Start({.host = "127.0.0.1", .port = args.metrics_port},
-                       &error)) {
-      std::fprintf(stderr, "necd: metrics listener failed: %s\n",
-                   error.c_str());
-      return 2;
-    }
-    std::printf("necd: metrics listening on http://127.0.0.1:%d\n",
-                metrics.port());
-    std::fflush(stdout);
+    if (!StartMetrics(metrics, args.metrics_port)) return 2;
   }
 
-  while (!g_stop) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  }
+  WaitForStopSignal();
   NEC_LOG_INFO("necd", "stop signal received — stopping router");
   router.Stop();
   metrics.Stop();
+  if (!args.trace_out.empty()) DumpTrace(args.trace_out);
 
   std::printf("\n=========================== router stats "
               "===========================\n");
@@ -708,304 +690,5 @@ int main(int argc, char** argv) {
   if (!args.trace_out.empty() || args.trace) {
     obs::TraceRecorder::Global().Enable();
   }
-
-  if (!args.route.empty()) return RunRouter(args);
-  if (args.listen_port >= 0) return RunListen(args);
-
-  NEC_LOG_INFO("necd",
-               "%zu sessions, %zu workers, %.1f s streams, %.1f s chunks, "
-               "policy=%s, selector=%s, max-batch=%zu",
-               args.sessions, args.workers, args.seconds, args.chunk_s,
-               PolicyName(args.policy),
-               args.kind == core::SelectorKind::kNeural ? "neural"
-                                                        : "las-mask",
-               args.max_batch);
-
-  core::StandardModel model = PickModel(args);
-  ArmStopSignals();
-  runtime::SessionManager manager(model.selector, model.encoder, {},
-                                  ManagerOptions(args));
-
-  // Live scrape surface. Handlers run on the listener thread; everything
-  // they touch (Stats snapshot, SessionStatus) is thread-safe by contract.
-  obs::MetricsServer server;
-  const auto started_at = std::chrono::steady_clock::now();
-  if (args.metrics_port >= 0) {
-    const auto families = [&manager] {
-      auto fams = runtime::SnapshotToMetricFamilies(manager.Stats());
-      fams.push_back(runtime::HopLatencyFamily());
-      return fams;
-    };
-    server.Handle("/metrics", [families](const std::string&,
-                                         const std::string&) {
-      obs::HttpResponse resp;
-      resp.content_type = "text/plain; version=0.0.4; charset=utf-8";
-      resp.body = obs::RenderPrometheusText(families());
-      return resp;
-    });
-    server.Handle("/metrics.json", [families](const std::string&,
-                                              const std::string&) {
-      obs::HttpResponse resp;
-      resp.content_type = "application/json";
-      resp.body = obs::RenderMetricsJson(families());
-      return resp;
-    });
-    server.Handle("/healthz", [&manager, started_at](const std::string&,
-                                                     const std::string&) {
-      const double uptime_s =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        started_at)
-              .count();
-      obs::HttpResponse resp;
-      resp.content_type = "application/json";
-      resp.body = "{\"status\":\"ok\",\"uptime_s\":" +
-                  std::to_string(uptime_s) + ",\"sessions\":" +
-                  std::to_string(manager.num_sessions()) + "}\n";
-      return resp;
-    });
-    server.Handle("/sessions", [&manager](const std::string&,
-                                          const std::string&) {
-      obs::HttpResponse resp;
-      resp.content_type = "application/json";
-      resp.body = runtime::SessionsJson(manager) + "\n";
-      return resp;
-    });
-    server.Handle("/trace", [](const std::string&, const std::string&) {
-      obs::HttpResponse resp;
-      resp.content_type = "application/json";
-      resp.body = obs::TraceRecorder::Global().ChromeTraceJson();
-      return resp;
-    });
-    std::string error;
-    if (!server.Start({.host = "127.0.0.1", .port = args.metrics_port},
-                      &error)) {
-      std::fprintf(stderr, "necd: metrics listener failed: %s\n",
-                   error.c_str());
-      return 2;
-    }
-    // Printed on stdout (not just the log) so scripts can grep the bound
-    // port when --metrics-port 0 picked an ephemeral one.
-    std::printf("necd: metrics listening on http://127.0.0.1:%d\n",
-                server.port());
-    std::fflush(stdout);
-  }
-
-  // One enrolled target per session; the monitored stream mixes that
-  // target's voice with a noise background (what the room mic hears).
-  synth::DatasetBuilder builder({.duration_s = args.seconds});
-  synth::DatasetBuilder enroll_builder({.duration_s = 3.0});
-  std::vector<runtime::SessionManager::SessionId> ids;
-  std::vector<audio::Waveform> streams;
-  for (std::size_t i = 0; i < args.sessions; ++i) {
-    const auto speaker = synth::SpeakerProfile::FromSeed(1000 + i);
-    ids.push_back(manager.CreateSession(
-        enroll_builder.MakeReferenceAudios(speaker, 3, 500 + i)));
-    streams.push_back(
-        builder
-            .MakeInstance(speaker, synth::Scenario::kBabble, 7000 + i)
-            .mixed);
-  }
-  NEC_LOG_INFO("necd", "%zu sessions enrolled, feeding %.1f s each...",
-               ids.size(), args.seconds);
-
-  // Interleaved capture-callback-sized pieces: all sessions live at once.
-  // Paced mode delivers each round of pieces at the audio rate — the
-  // arrival process a live capture callback would produce — so queue-wait
-  // and end-to-end latency mean service latency, not replay backlog.
-  const std::size_t piece = 4096;
-  const double piece_s =
-      streams.empty() ? 0.0
-                      : static_cast<double>(piece) /
-                            static_cast<double>(streams[0].sample_rate());
-  const auto t0 = std::chrono::steady_clock::now();
-  std::size_t pos = 0;
-  std::size_t rounds = 0;
-  bool any_left = true;
-  while (any_left && !g_stop) {
-    any_left = false;
-    for (std::size_t i = 0; i < ids.size(); ++i) {
-      if (pos >= streams[i].size()) continue;
-      const std::size_t n = std::min(piece, streams[i].size() - pos);
-      const runtime::SubmitResult r =
-          manager.Submit(ids[i], streams[i].samples().subspan(pos, n));
-      if (!r.ok() &&
-          r.error->category == runtime::ErrorCategory::kOverload) {
-        // kReject bounced the strand dispatch; the samples are already
-        // buffered, so nudge with empty submits until the pool has room
-        // (each bounce still shows up in the rejection counter). A nudge
-        // can stop being kOverload — e.g. the session faults — so bail
-        // on any other outcome.
-        for (;;) {
-          const runtime::SubmitResult nudge = manager.Submit(ids[i], {});
-          if (nudge.ok() || g_stop ||
-              nudge.error->category != runtime::ErrorCategory::kOverload) {
-            break;
-          }
-          std::this_thread::yield();
-        }
-      }
-      // Any other error (kFaulted session, rejected bad input) sheds this
-      // piece; the session's fate shows up in the status table below.
-      any_left = true;
-    }
-    pos += piece;
-    ++rounds;
-    if (args.pace && any_left) {
-      // Absolute schedule (t0 + n·piece_s), not relative sleeps: pacing
-      // error never accumulates, and a slow round simply skips its sleep.
-      std::this_thread::sleep_until(
-          t0 + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                   std::chrono::duration<double>(piece_s *
-                                                 static_cast<double>(rounds))));
-    }
-  }
-  if (g_stop) {
-    NEC_LOG_INFO("necd", "stop signal received — draining in-flight work");
-  }
-  manager.Drain();
-  for (const auto id : ids) manager.Flush(id);
-
-  // Post-drain the recorder is quiescent: dump the trace window before the
-  // report so an operator killing necd mid-run still gets both.
-  if (!args.trace_out.empty()) {
-    obs::TraceRecorder& rec = obs::TraceRecorder::Global();
-    std::ofstream out(args.trace_out);
-    if (!out) {
-      std::fprintf(stderr, "necd: cannot write trace to %s\n",
-                   args.trace_out.c_str());
-    } else {
-      rec.WriteChromeTrace(out);
-      NEC_LOG_INFO("necd",
-                   "trace written to %s (%llu events held, %llu dropped by "
-                   "ring wraparound)",
-                   args.trace_out.c_str(),
-                   static_cast<unsigned long long>(rec.events_recorded()),
-                   static_cast<unsigned long long>(rec.events_dropped()));
-    }
-    rec.Disable();
-  }
-  const double wall_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-
-  const runtime::RuntimeStatsSnapshot stats = manager.Stats();
-  const double chunks_per_sec =
-      wall_s > 0.0 ? static_cast<double>(stats.chunks_processed) / wall_s
-                   : 0.0;
-  const double audio_s =
-      args.seconds * static_cast<double>(args.sessions);
-
-  std::printf("\n============================ necd stats "
-              "============================\n");
-  std::printf("%-28s %12llu\n", "sessions",
-              static_cast<unsigned long long>(stats.sessions));
-  std::printf("%-28s %12llu\n", "chunks processed",
-              static_cast<unsigned long long>(stats.chunks_processed));
-  std::printf("%-28s %12llu\n", "strand dispatches",
-              static_cast<unsigned long long>(stats.dispatches));
-  std::printf("%-28s %12llu\n", "dispatch rejections",
-              static_cast<unsigned long long>(stats.dispatch_rejections));
-  std::printf("%-28s %12llu\n", "dispatch drops (evicted)",
-              static_cast<unsigned long long>(stats.dispatch_drops));
-  std::printf("%-28s %12llu\n", "samples submitted",
-              static_cast<unsigned long long>(stats.samples_submitted));
-  std::printf("%-28s %12llu\n", "samples dropped",
-              static_cast<unsigned long long>(stats.samples_dropped));
-  std::printf("%-28s %12zu\n", "queue depth (now)", stats.queue_depth);
-  std::printf("%-28s %12.2f\n", "wall time (s)", wall_s);
-  std::printf("%-28s %12.2f\n", "audio processed (s)", audio_s);
-  std::printf("%-28s %12.2f\n", "realtime factor", audio_s / wall_s);
-  std::printf("%-28s %12.2f\n", "aggregate chunks/sec", chunks_per_sec);
-  std::printf("%-28s %12.2f\n", "chunk latency p50 (ms)",
-              stats.chunk_latency.p50_ms);
-  std::printf("%-28s %12.2f\n", "chunk latency p95 (ms)",
-              stats.chunk_latency.p95_ms);
-  std::printf("%-28s %12.2f\n", "chunk latency p99 (ms)",
-              stats.chunk_latency.p99_ms);
-  std::printf("%-28s %12.2f\n", "chunk latency max (ms)",
-              stats.chunk_latency.max_ms);
-  std::printf("%-28s %12.2f\n", "e2e latency p50 (ms)",
-              stats.e2e_latency.p50_ms);
-  std::printf("%-28s %12.2f\n", "e2e latency p95 (ms)",
-              stats.e2e_latency.p95_ms);
-  std::printf("%-28s %12.2f\n", "e2e latency p99 (ms)",
-              stats.e2e_latency.p99_ms);
-  std::printf("%-28s %12.2f\n", "e2e latency max (ms)",
-              stats.e2e_latency.max_ms);
-  if (manager.batching_enabled()) {
-    std::printf("%-28s %12llu\n", "batches dispatched",
-                static_cast<unsigned long long>(stats.batches_dispatched));
-    std::printf("%-28s %12llu\n", "batched chunks",
-                static_cast<unsigned long long>(stats.batched_chunks));
-    std::printf("%-28s %12.2f\n", "avg batch size",
-                stats.avg_batch_size);
-    std::printf("%-28s %12llu\n", "max batch size",
-                static_cast<unsigned long long>(stats.max_batch_size));
-    std::printf("%-28s %12.2f\n", "queue wait p50 (ms)",
-                stats.queue_wait.p50_ms);
-    std::printf("%-28s %12.2f\n", "queue wait p99 (ms)",
-                stats.queue_wait.p99_ms);
-  }
-  std::printf("%-28s %12zu\n", "queue peak depth",
-              stats.queue_peak_depth);
-  std::printf("%-28s %12llu\n", "session faults",
-              static_cast<unsigned long long>(stats.faults));
-  for (std::size_t c = 0; c < runtime::kNumErrorCategories; ++c) {
-    if (stats.faults_by_category[c] == 0) continue;
-    std::printf("  %-26s %12llu\n",
-                runtime::ErrorCategoryName(
-                    static_cast<runtime::ErrorCategory>(c)),
-                static_cast<unsigned long long>(stats.faults_by_category[c]));
-  }
-  std::printf("%-28s %12llu\n", "deadline misses",
-              static_cast<unsigned long long>(stats.deadline_misses));
-  std::printf("%-28s %12llu\n", "degrade steps down",
-              static_cast<unsigned long long>(stats.degrade_steps_down));
-  std::printf("%-28s %12llu\n", "degrade steps up",
-              static_cast<unsigned long long>(stats.degrade_steps_up));
-  std::printf("%-28s %12llu\n", "chunk retries",
-              static_cast<unsigned long long>(stats.chunk_retries));
-  std::printf("%-28s %12llu\n", "batch splits",
-              static_cast<unsigned long long>(stats.batch_splits));
-  std::printf("%-28s %12llu\n", "samples sanitized",
-              static_cast<unsigned long long>(stats.samples_sanitized));
-  std::printf("%-28s %12llu\n", "bad-input rejections",
-              static_cast<unsigned long long>(stats.bad_input_rejections));
-  std::printf("%-28s %12llu\n", "session resets",
-              static_cast<unsigned long long>(stats.session_resets));
-  std::printf("%-28s %12llu\n", "worker exceptions",
-              static_cast<unsigned long long>(stats.worker_exceptions));
-
-  // Per-session health: anything not idle/neural after a drained run
-  // deserves a line the operator can act on.
-  bool any_unhealthy = false;
-  for (const auto id : ids) {
-    const runtime::SessionStatus st = manager.SessionStatus(id);
-    if (st.state == runtime::SessionState::kIdle && st.faults == 0 &&
-        st.deadline_misses == 0) {
-      continue;
-    }
-    if (!any_unhealthy) {
-      std::printf("------------------------- session status "
-                  "-------------------------\n");
-      any_unhealthy = true;
-    }
-    std::printf("session %-4zu %-8s level=%-12s chunks=%-6llu "
-                "faults=%-3llu misses=%llu%s%s\n",
-                id, runtime::SessionStateName(st.state),
-                runtime::DegradeLevelName(st.level),
-                static_cast<unsigned long long>(st.chunks_emitted),
-                static_cast<unsigned long long>(st.faults),
-                static_cast<unsigned long long>(st.deadline_misses),
-                st.error.has_value() ? " — " : "",
-                st.error.has_value() ? st.error->message.c_str() : "");
-  }
-  std::printf("---------------------------------------------------------"
-              "------------\n");
-  // The verdict is end-to-end (enqueue → complete): a chunk that computed
-  // fast but sat in a queue past the budget still failed its listener.
-  const bool deadline_ok = stats.e2e_latency.p99_ms < args.deadline_ms;
-  std::printf("overshadowing deadline (%.0f ms, IV-C2): e2e p99 %s\n",
-              args.deadline_ms, deadline_ok ? "MET" : "MISSED");
-  return deadline_ok ? 0 : 1;
+  return args.route.empty() ? RunListen(args) : RunRouter(args);
 }

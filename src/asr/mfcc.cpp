@@ -16,9 +16,9 @@ MfccFeatures ComputeMfcc(const audio::Waveform& wave,
                              .win_length = config.win_length,
                              .hop_length = config.hop_length,
                              .window = dsp::WindowType::kHann};
-  const dsp::Spectrogram spec = dsp::Stft(wave, stft);
-  const std::size_t T = spec.num_frames();
-  const std::size_t bins = spec.num_bins();
+  const std::vector<float> mag = dsp::StftMagnitude(wave, stft);
+  const std::size_t bins = stft.num_bins();
+  const std::size_t T = mag.size() / bins;
   const std::size_t base_dim = config.num_coeffs;
   const std::size_t dim = base_dim * (config.append_deltas ? 2 : 1);
 
@@ -35,7 +35,7 @@ MfccFeatures ComputeMfcc(const audio::Waveform& wave,
   for (std::size_t t = 0; t < T; ++t) {
     double energy = 0.0;
     for (std::size_t f = 0; f < bins; ++f) {
-      const float m = spec.MagAt(t, f);
+      const float m = mag[t * bins + f];
       power[f] = m * m;
       energy += power[f];
     }

@@ -15,12 +15,6 @@ void Layer::InferBatchInto(const Tensor&, Tensor&) const {
   NEC_CHECK_MSG(false, Name() << " has no batched inference path");
 }
 
-Tensor Layer::InferBatch(const Tensor& batch) const {
-  Tensor out;
-  InferBatchInto(batch, out);
-  return out;
-}
-
 namespace {
 
 // Re-binds `t` to `shape` unless it already has it: a warm output keeps
@@ -461,7 +455,6 @@ void MapInto(const Tensor& input, Tensor& out, F f) {
 
 float ReluOf(float v) { return v > 0.0f ? v : 0.0f; }
 float SigmoidOf(float v) { return 1.0f / (1.0f + std::exp(-v)); }
-float TanhOf(float v) { return std::tanh(v); }
 
 }  // namespace
 
@@ -506,138 +499,6 @@ Tensor Sigmoid::Backward(const Tensor& grad_output) {
     grad[i] *= y * (1.0f - y);
   }
   return grad;
-}
-
-void Tanh::InferBatchInto(const Tensor& batch, Tensor& out) const {
-  MapInto(batch, out, TanhOf);
-}
-
-Tensor Tanh::Forward(const Tensor& input) {
-  Tensor out;
-  MapInto(input, out, TanhOf);
-  output_cache_ = out;
-  last_elems_ = input.numel();
-  return out;
-}
-
-Tensor Tanh::Backward(const Tensor& grad_output) {
-  NEC_CHECK(grad_output.numel() == output_cache_.numel());
-  Tensor grad = grad_output;
-  for (std::size_t i = 0; i < grad.numel(); ++i) {
-    const float y = output_cache_[i];
-    grad[i] *= 1.0f - y * y;
-  }
-  return grad;
-}
-
-// -------------------------------------------------------------- LayerNorm
-
-namespace {
-
-Tensor OnesVector(std::size_t n) {
-  Tensor t({n});
-  t.Fill(1.0f);
-  return t;
-}
-
-}  // namespace
-
-LayerNorm::LayerNorm(std::size_t features, float eps)
-    : features_(features),
-      eps_(eps),
-      gain_(OnesVector(features)),
-      bias_(Tensor::Zeros({features})) {
-  NEC_CHECK(features >= 1);
-  NEC_CHECK(eps > 0.0f);
-}
-
-void LayerNorm::NormalizeRows(const float* in, std::size_t rows, float* out,
-                              float* xhat, float* inv_sigma) const {
-  const std::size_t n = features_;
-  const float* g = gain_.value.data();
-  const float* b = bias_.value.data();
-  for (std::size_t r = 0; r < rows; ++r) {
-    const float* x = in + r * n;
-    float* o = out + r * n;
-    // Fixed ascending-order double accumulation: rows are normalized
-    // independently and identically regardless of how many ride in the
-    // call, which is what makes Forward/InferBatchInto bit-identical per
-    // item. A row's statistics are taken before the row is written, and
-    // each element is read before it is overwritten, so the normalization
-    // may run in place.
-    double sum = 0.0;
-    for (std::size_t j = 0; j < n; ++j) sum += x[j];
-    const float mean = static_cast<float>(sum / static_cast<double>(n));
-    double var_sum = 0.0;
-    for (std::size_t j = 0; j < n; ++j) {
-      const double d = static_cast<double>(x[j]) - mean;
-      var_sum += d * d;
-    }
-    const float var = static_cast<float>(var_sum / static_cast<double>(n));
-    const float is = 1.0f / std::sqrt(var + eps_);
-    if (inv_sigma != nullptr) inv_sigma[r] = is;
-    for (std::size_t j = 0; j < n; ++j) {
-      const float xh = (x[j] - mean) * is;
-      if (xhat != nullptr) xhat[r * n + j] = xh;
-      o[j] = g[j] * xh + b[j];
-    }
-  }
-}
-
-void LayerNorm::InferBatchInto(const Tensor& batch, Tensor& out) const {
-  // Row-wise and shape-preserving: a leading batch dim just folds into
-  // the row count, so the batched path IS the per-item path.
-  NEC_CHECK_MSG(
-      batch.rank() >= 1 && batch.dim(batch.rank() - 1) == features_,
-      "LayerNorm expects last dim == " << features_);
-  EnsureShape(out, batch.shape());
-  NormalizeRows(batch.data(), batch.numel() / features_, out.data());
-}
-
-Tensor LayerNorm::Forward(const Tensor& input) {
-  NEC_CHECK_MSG(
-      input.rank() >= 1 && input.dim(input.rank() - 1) == features_,
-      "LayerNorm expects last dim == " << features_);
-  const std::size_t rows = input.numel() / features_;
-  Tensor out(input.shape());
-  xhat_cache_ = Tensor(input.shape());
-  inv_sigma_cache_.resize(rows);
-  NormalizeRows(input.data(), rows, out.data(), xhat_cache_.data(),
-                inv_sigma_cache_.data());
-  last_elems_ = input.numel();
-  return out;
-}
-
-Tensor LayerNorm::Backward(const Tensor& grad_output) {
-  NEC_CHECK(grad_output.numel() == xhat_cache_.numel());
-  const std::size_t n = features_;
-  const std::size_t rows = xhat_cache_.numel() / n;
-  const float* g = gain_.value.data();
-
-  Tensor grad_input(grad_output.shape());
-  for (std::size_t r = 0; r < rows; ++r) {
-    const float* dy = grad_output.data() + r * n;
-    const float* xh = xhat_cache_.data() + r * n;
-    float* dx = grad_input.data() + r * n;
-    const float is = inv_sigma_cache_[r];
-
-    double sum_gdy = 0.0, sum_gdy_xh = 0.0;
-    for (std::size_t j = 0; j < n; ++j) {
-      const double gdy = static_cast<double>(g[j]) * dy[j];
-      sum_gdy += gdy;
-      sum_gdy_xh += gdy * xh[j];
-      gain_.grad[j] += dy[j] * xh[j];
-      bias_.grad[j] += dy[j];
-    }
-    const float mean_gdy =
-        static_cast<float>(sum_gdy / static_cast<double>(n));
-    const float mean_gdy_xh =
-        static_cast<float>(sum_gdy_xh / static_cast<double>(n));
-    for (std::size_t j = 0; j < n; ++j) {
-      dx[j] = is * (g[j] * dy[j] - mean_gdy - xh[j] * mean_gdy_xh);
-    }
-  }
-  return grad_input;
 }
 
 // ------------------------------------------------------------------ LSTM
@@ -688,36 +549,6 @@ Tensor Lstm::Backward(const Tensor&) {
   NEC_CHECK_MSG(false,
                 "Lstm is forward-only (VoiceFilter runtime baseline)");
   return Tensor();
-}
-
-// ------------------------------------------------------------ Sequential
-
-Tensor Sequential::Forward(const Tensor& input) {
-  Tensor x = input;
-  for (auto& layer : layers_) x = layer->Forward(x);
-  return x;
-}
-
-Tensor Sequential::Backward(const Tensor& grad_output) {
-  Tensor g = grad_output;
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
-    g = (*it)->Backward(g);
-  }
-  return g;
-}
-
-Tensor Sequential::InferBatch(const Tensor& batch) const {
-  Tensor x = batch;
-  for (const auto& layer : layers_) x = layer->InferBatch(x);
-  return x;
-}
-
-std::vector<Param*> Sequential::Params() {
-  std::vector<Param*> params;
-  for (auto& layer : layers_) {
-    for (Param* p : layer->Params()) params.push_back(p);
-  }
-  return params;
 }
 
 }  // namespace nec::nn

@@ -12,13 +12,12 @@
 //   * InferBatchInto is the only inference path. It is const, writes no
 //     member state (scratch is per-thread), and takes a leading batch
 //     dimension: rank 4 (B, C, H, W) for Conv2D, rank 3 (B, rows, in) for
-//     Linear, and the item shape plus one leading dim for elementwise/norm
-//     layers. A single item is a batch of one. It writes into a caller-owned
-//     output that keeps its storage when it already has the output shape,
-//     so a caller can ping-pong two buffers through a layer stack; the
-//     shape-preserving layers (activations, LayerNorm) also run in place.
-//     InferBatch is its value wrapper. Any number of threads may call them
-//     on the same layer concurrently as long as nothing mutates the
+//     Linear, and the item shape plus one leading dim for activations. A
+//     single item is a batch of one. It writes into a caller-owned output
+//     that keeps its storage when it already has the output shape, so a
+//     caller can ping-pong two buffers through a layer stack; the
+//     activations also run in place. Any number of threads may call it on
+//     the same layer concurrently as long as nothing mutates the
 //     parameters at the same time.
 //   * Forward/Backward MUTATE the layer (activation caches, MAC counters)
 //     and must only be used by a single thread — the training path. Forward
@@ -34,7 +33,6 @@
 // implements forward only — the baseline is never trained in this repo.
 #pragma once
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -68,12 +66,9 @@ class Layer {
   /// bit-identical per item to Forward (see contract above). `out` is
   /// re-bound to the output shape unless it already has it, in which case
   /// its storage is overwritten in place. `out` must not be `batch` except
-  /// for the shape-preserving layers. Layers without a shared-weight
-  /// inference path (LSTM) keep the throwing default.
+  /// for the activations. Layers without a shared-weight inference path
+  /// (LSTM) keep the throwing default.
   virtual void InferBatchInto(const Tensor& batch, Tensor& out) const;
-
-  /// Value form of InferBatchInto.
-  Tensor InferBatch(const Tensor& batch) const;
 
   /// Learnable parameters (empty for activations).
   virtual std::vector<Param*> Params() { return {}; }
@@ -81,9 +76,9 @@ class Layer {
   virtual std::string Name() const = 0;
 
   /// Approximate multiply-accumulate count of one Forward call with the
-  /// last-seen input shape (0 before the first Forward). Elementwise and
-  /// norm layers report their processed element count — one fused op per
-  /// element — so the Table II MAC audit does not undercount them. Used by
+  /// last-seen input shape (0 before the first Forward). Activations
+  /// report their processed element count — one fused op per element —
+  /// so the Table II MAC audit does not undercount them. Used by
   /// the runtime analysis bench (Table II).
   virtual std::size_t LastForwardMacs() const { return 0; }
 };
@@ -198,57 +193,6 @@ class Sigmoid : public Layer {
   std::size_t last_elems_ = 0;
 };
 
-/// Hyperbolic tangent activation.
-class Tanh : public Layer {
- public:
-  Tensor Forward(const Tensor& input) override;
-  Tensor Backward(const Tensor& grad_output) override;
-  void InferBatchInto(const Tensor& batch, Tensor& out) const override;
-  std::string Name() const override { return "Tanh"; }
-  std::size_t LastForwardMacs() const override { return last_elems_; }
-
- private:
-  Tensor output_cache_;
-  std::size_t last_elems_ = 0;
-};
-
-/// Layer normalization over the last dimension with learnable gain/bias:
-/// y = g * (x - mean) / sqrt(var + eps) + b, per row. The paper's selector
-/// uses no normalization; this is the nn substrate's norm layer (available
-/// to encoder MLPs and ablation variants) and takes part in the batched
-/// inference contract like every other layer — rows are independent, so
-/// batching is bit-exact by construction.
-class LayerNorm : public Layer {
- public:
-  explicit LayerNorm(std::size_t features, float eps = 1e-5f);
-
-  Tensor Forward(const Tensor& input) override;
-  Tensor Backward(const Tensor& grad_output) override;
-  void InferBatchInto(const Tensor& batch, Tensor& out) const override;
-  std::vector<Param*> Params() override { return {&gain_, &bias_}; }
-  std::string Name() const override { return "LayerNorm"; }
-  std::size_t LastForwardMacs() const override { return last_elems_; }
-
-  std::size_t features() const { return features_; }
-
-  Param& gain() { return gain_; }
-  Param& bias() { return bias_; }
-
- private:
-  /// Normalizes `rows` rows of `features_` elements from `in` into `out`;
-  /// optionally records x-hat and 1/sigma for the backward pass.
-  void NormalizeRows(const float* in, std::size_t rows, float* out,
-                     float* xhat = nullptr, float* inv_sigma = nullptr) const;
-
-  std::size_t features_;
-  float eps_;
-  Param gain_;  // (features)
-  Param bias_;  // (features)
-  Tensor xhat_cache_;                  ///< normalized input, per Forward
-  std::vector<float> inv_sigma_cache_; ///< 1/sigma per row
-  std::size_t last_elems_ = 0;
-};
-
 /// Unidirectional LSTM over a (T, input) sequence producing (T, hidden).
 /// Forward-only: used by the VoiceFilter baseline for runtime comparison.
 /// Keeps the throwing InferBatchInto default — the baseline never runs on
@@ -270,26 +214,6 @@ class Lstm : public Layer {
   Param u_;  // (4*hidden, hidden)
   Param b_;  // (4*hidden)
   std::size_t last_macs_ = 0;
-};
-
-/// Simple sequential container (used by the neural d-vector encoder MLP).
-class Sequential {
- public:
-  void Add(std::unique_ptr<Layer> layer) {
-    layers_.push_back(std::move(layer));
-  }
-
-  Tensor Forward(const Tensor& input);
-  Tensor Backward(const Tensor& grad_output);
-  /// Const chain of the layers' inference paths.
-  Tensor InferBatch(const Tensor& batch) const;
-  std::vector<Param*> Params();
-  std::size_t size() const { return layers_.size(); }
-  Layer& layer(std::size_t i) { return *layers_[i]; }
-  const Layer& layer(std::size_t i) const { return *layers_[i]; }
-
- private:
-  std::vector<std::unique_ptr<Layer>> layers_;
 };
 
 }  // namespace nec::nn

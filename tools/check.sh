@@ -14,9 +14,11 @@
 #                                    # suite and the conv/selector tests
 #                                    # under ASan+UBSan (the TSan run
 #                                    # above already covers it for races)
-#   CHECK_OBS=1 tools/check.sh       # also boot necd with --metrics-port,
-#                                    # scrape /metrics + /healthz, and
-#                                    # validate the Chrome trace dump
+#   CHECK_OBS=1 tools/check.sh       # also boot a necd shard with
+#                                    # --metrics-port, drive it with
+#                                    # `necctl loadgen`, scrape /metrics +
+#                                    # /healthz + /sessions, and validate
+#                                    # the Chrome trace it dumps on SIGTERM
 #   CHECK_NET=1 tools/check.sh       # also run the wire-codec + v2 payload
 #                                    # fuzz tests under ASan+UBSan, boot an
 #                                    # AUTHENTICATED 2-shard fleet + router
@@ -39,7 +41,9 @@
 #   CHECK_JOBS=8 tools/check.sh      # override build/test parallelism
 #
 # Both builds configure with NEC_NATIVE_ARCH=OFF so the script behaves the
-# same inside CI containers and on developer machines.
+# same inside CI containers and on developer machines. Every ctest run also
+# writes <build dir>/ctest.xml (JUnit), which keeps a failed test binary's
+# output after the console log has scrolled away.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -67,7 +71,8 @@ cmake -B build-check-release -S . \
 cmake --build build-check-release -j "${JOBS}"
 
 step "ctest: Release (full suite)"
-ctest --test-dir build-check-release --output-on-failure -j "${JOBS}"
+ctest --test-dir build-check-release --output-on-failure -j "${JOBS}" \
+  --output-junit "${PWD}/build-check-release/ctest.xml"
 
 step "configure + build: Release + ThreadSanitizer"
 cmake -B build-check-tsan -S . \
@@ -79,7 +84,8 @@ cmake --build build-check-tsan -j "${JOBS}"
 
 step "ctest: TSan"
 if [[ "${CHECK_TSAN_ALL:-0}" == "1" ]]; then
-  ctest --test-dir build-check-tsan --output-on-failure -j "${JOBS}"
+  ctest --test-dir build-check-tsan --output-on-failure -j "${JOBS}" \
+    --output-junit "${PWD}/build-check-tsan/ctest.xml"
 else
   # The concurrency-bearing tests (test_runtime, test_runtime_faults,
   # test_streaming, test_obs — the trace rings claim wait-freedom —
@@ -88,7 +94,8 @@ else
   # table); the rest of the suite is single-threaded and already covered
   # by step 2 (CHECK_TSAN_ALL=1 runs everything).
   ctest --test-dir build-check-tsan --output-on-failure \
-    -R 'test_runtime|test_streaming|test_obs|test_net|test_modulation'
+    -R 'test_runtime|test_streaming|test_obs|test_net|test_modulation' \
+    --output-junit "${PWD}/build-check-tsan/ctest.xml"
 fi
 
 if [[ "${FAULTS}" == "1" ]]; then
@@ -108,7 +115,8 @@ if [[ "${FAULTS}" == "1" ]]; then
   cmake --build build-check-asan -j "${JOBS}" \
     --target test_runtime_faults test_layers test_selector
   ctest --test-dir build-check-asan --output-on-failure \
-    -R 'test_runtime_faults|test_layers|test_selector'
+    -R 'test_runtime_faults|test_layers|test_selector' \
+    --output-junit "${PWD}/build-check-asan/ctest.xml"
 fi
 
 if [[ "${BENCH_SMOKE}" == "1" ]]; then
@@ -134,12 +142,13 @@ if [[ "${OBS}" == "1" ]]; then
   OBS_DIR="build-check-release/obs-check"
   rm -rf "${OBS_DIR}" && mkdir -p "${OBS_DIR}"
 
-  # Boot necd with an ephemeral metrics port; it prints the bound port on
-  # stdout. The stream is long enough that the scrape below happens while
-  # sessions are live. The untrained tiny model keeps the stage hermetic:
-  # the standard model would first train for minutes without a cache.
-  ./build-check-release/examples/necd --model tiny \
-    --sessions 2 --seconds 20 --max-batch 2 --metrics-port 0 \
+  # Boot a shard with ephemeral wire and metrics ports; it prints both on
+  # stdout. --max-batch 2 routes chunks through the batcher, whose flow
+  # links the trace check below demands. The untrained tiny model keeps
+  # the stage hermetic: the standard model would first train for minutes
+  # without a cache.
+  ./build-check-release/examples/necd --listen 0 --model tiny \
+    --max-batch 2 --metrics-port 0 \
     --trace-out "${OBS_DIR}/trace.json" \
     > "${OBS_DIR}/necd.out" 2> "${OBS_DIR}/necd.err" &
   NECD_PID=$!
@@ -150,11 +159,21 @@ if [[ "${OBS}" == "1" ]]; then
     kill -0 "${NECD_PID}" 2>/dev/null || break
     sleep 1
   done
+  WIRE="$(grep -o 'wire listening on 127.0.0.1:[0-9]*' "${OBS_DIR}/necd.out" \
+          | grep -o '[0-9]*$')"
   PORT="$(grep -o 'http://127.0.0.1:[0-9]*' "${OBS_DIR}/necd.out" \
           | grep -o '[0-9]*$')"
-  [[ -n "${PORT}" ]] || { echo "necd never bound a metrics port"; exit 1; }
+  [[ -n "${WIRE}" && -n "${PORT}" ]] || {
+    echo "necd never bound its wire and metrics ports"; exit 1; }
 
-  # Scrape while the daemon is serving (no curl dependency in CI images).
+  # Two wire sessions streamed to completion; loadgen exits non-zero if
+  # any faults. The shard keeps every session it opened, so /sessions
+  # below still lists them.
+  ./build-check-release/examples/necctl loadgen \
+    --endpoints "127.0.0.1:${WIRE}" --sessions 2 --json \
+    > "${OBS_DIR}/loadgen.json"
+
+  # Scrape the shard (no curl dependency in CI images).
   python3 - "${PORT}" <<'EOF'
 import json, sys, urllib.request
 port = sys.argv[1]
@@ -179,6 +198,7 @@ EOF
   ./build-check-release/examples/necctl stats \
     --url "http://127.0.0.1:${PORT}" | grep -q nec_chunks_processed_total
 
+  kill -TERM "${NECD_PID}"
   wait "${NECD_PID}"
   trap - EXIT
 
