@@ -4,10 +4,10 @@
 // The per-chunk serving path (Stft → selector DNN → Istft → ModulateAm)
 // used to allocate every temporary from the global heap — a fresh
 // std::vector<float> per Tensor, per spectrogram, per scratch buffer.
-// These primitives give each session strand one Arena that is reset at
-// every chunk boundary: allocation is a pointer bump, deallocation is
-// free, and after warmup both runtime arms make 0 mallocs per chunk
-// (tests/test_hot_path.cpp counts them in every ctest run).
+// These primitives give each thread that computes chunks one Arena that
+// is reset at every chunk boundary: allocation is a pointer bump,
+// deallocation is free, and after warmup both runtime arms make 0 mallocs
+// per chunk (tests/test_hot_path.cpp counts them in every ctest run).
 //
 // Ownership rules (enforced by convention + tests, see DESIGN.md §5i):
 //  - Weights, model cache, and training tensors stay on owning storage.
@@ -15,8 +15,10 @@
 //  - An ArenaScope rewinds its arena on destruction (exception-safe), so
 //    arena-backed values must NOT escape the scope that allocated them:
 //    copy results into caller-owned storage before the scope ends.
-//  - Arenas are single-threaded: one per session strand (or one
-//    thread_local per dispatcher for batch assembly), never shared.
+//  - Arenas are single-threaded: one per computing thread (a runtime pool
+//    worker or batch dispatcher; core::ChunkScratch::ThisThread), never
+//    shared and never kept per session, so resident arena memory scales
+//    with threads, not with sessions.
 //
 // This header is intentionally header-only: nec::nn's Tensor consults
 // ArenaScope::Current() from its constructors, and nec_nn must not link
@@ -42,7 +44,7 @@ namespace nec::core {
 /// is a pointer bump; memory is reclaimed only by Rewind/Reset, which keep
 /// the blocks for reuse — after a warmup chunk has sized the chain, a
 /// steady-state Reset-per-chunk cycle never touches the heap again.
-/// Not thread-safe by design: each arena belongs to exactly one strand.
+/// Not thread-safe by design: each arena belongs to exactly one thread.
 class Arena {
  public:
   static constexpr std::size_t kDefaultAlign = 64;  // cache line

@@ -86,6 +86,11 @@ void NecPipeline::GenerateShadowInto(const audio::Waveform& mixed,
                           out);
 }
 
+ChunkScratch& ChunkScratch::ThisThread() {
+  thread_local ChunkScratch scratch;
+  return scratch;
+}
+
 audio::Waveform NecPipeline::GenerateShadow(const audio::Waveform& mixed,
                                             SelectorKind kind) const {
   ShadowScratch scratch;

@@ -2,6 +2,7 @@
 // generation → ultrasonic broadcast.
 #pragma once
 
+#include <deque>
 #include <memory>
 #include <optional>
 #include <span>
@@ -29,13 +30,42 @@ struct PipelineOptions {
 /// chunk boundary). A batch (GenerateShadowBatchInto) uses one scratch per
 /// item for the first three and one arena for the whole batch. After the
 /// first chunk every buffer is at steady-state size, so the per-chunk path
-/// performs zero heap allocations. Single-threaded: each streaming session
-/// / runtime strand, and each slot of a batching dispatcher, owns one.
+/// performs zero heap allocations. Contents never reach the output, so any
+/// scratch serves any chunk; a thread that computes chunks borrows its own
+/// (ChunkScratch::ThisThread), a session keeps none.
 struct ShadowScratch {
   dsp::StftWorkspace stft;
   dsp::Spectrogram spec;
   std::vector<float> shadow_mag;
   Arena arena;
+};
+
+/// All per-chunk working memory of one thread that computes chunks (a
+/// runtime pool worker, a batching dispatcher, or any caller of
+/// StreamingProcessor::ProcessChunkInto). A chunk needs it only while the
+/// thread computes it, so resident scratch scales with threads, not with
+/// sessions. Two independent halves, because a dispatcher completes
+/// degraded chunks singly while its batch's shadows still wait in the
+/// slots:
+///  - single chunk: `single` (its arena also hosts the thread's batched
+///    selector forward, which never overlaps a single chunk) and the
+///    popped chunk, baseband shadow and modulated output waveforms;
+///  - batch: slot j holds item j's scratch and shadow. A std::deque, so
+///    growing never moves a slot (ShadowScratch holds a non-movable
+///    Arena).
+struct ChunkScratch {
+  struct Slot {
+    ShadowScratch scratch;
+    audio::Waveform shadow;
+  };
+
+  ShadowScratch single;
+  audio::Waveform chunk, shadow, modulated;
+  std::deque<Slot> slots;
+
+  /// The calling thread's scratch, built on first use and freed when the
+  /// thread exits. Never share the reference with another thread.
+  static ChunkScratch& ThisThread();
 };
 
 /// Which shadow generator the pipeline runs (neural is the paper system;

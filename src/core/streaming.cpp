@@ -22,8 +22,9 @@ StreamingProcessor::StreamingProcessor(const NecPipeline& pipeline,
 void StreamingProcessor::ProcessChunkInto(const audio::Waveform& chunk,
                                           audio::Waveform& out) {
   NEC_TRACE_SPAN("stream.process_chunk");
-  pipeline_.GenerateShadowInto(chunk, kind_, scratch_, shadow_wave_);
-  CompleteShadowChunkInto(shadow_wave_, out);
+  ChunkScratch& scratch = ChunkScratch::ThisThread();
+  pipeline_.GenerateShadowInto(chunk, kind_, scratch.single, scratch.shadow);
+  CompleteShadowChunkInto(scratch.shadow, out);
 }
 
 void StreamingProcessor::CompleteShadowChunkInto(
@@ -70,19 +71,21 @@ std::optional<audio::Waveform> StreamingProcessor::Push(
 
   // Drain every complete chunk (a single Push may deliver several) and
   // concatenate their modulated output in stream order. Chunks are read at
-  // an advancing offset into reused scratch buffers and the consumed
-  // prefix is erased once afterwards; only the returned concatenation
-  // allocates (the per-chunk pipeline runs through the Into path).
+  // an advancing offset into the thread's scratch waveforms and the
+  // consumed prefix is erased once afterwards; only the returned
+  // concatenation allocates (the per-chunk pipeline runs through the Into
+  // path).
+  ChunkScratch& scratch = ChunkScratch::ThisThread();
   audio::Waveform out;
   std::size_t pos = 0;
   while (buffer_.size() - pos >= chunk_samples_) {
-    chunk_wave_.AssignSilence(buffer_.sample_rate(), chunk_samples_);
+    scratch.chunk.AssignSilence(buffer_.sample_rate(), chunk_samples_);
     std::copy(buffer_.data().begin() + static_cast<std::ptrdiff_t>(pos),
               buffer_.data().begin() +
                   static_cast<std::ptrdiff_t>(pos + chunk_samples_),
-              chunk_wave_.data().begin());
-    ProcessChunkInto(chunk_wave_, modulated_wave_);
-    out.Append(modulated_wave_);
+              scratch.chunk.data().begin());
+    ProcessChunkInto(scratch.chunk, scratch.modulated);
+    out.Append(scratch.modulated);
     pos += chunk_samples_;
   }
   buffer_.data().erase(

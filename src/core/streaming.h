@@ -6,6 +6,13 @@
 // under the ~300 ms overshadowing tolerance (§IV-C2). StreamingProcessor
 // reproduces that loop; per-stage time lives in the obs trace spans and
 // the runtime's RuntimeStats histograms.
+//
+// Memory: a processor keeps only what its stream needs from one chunk to
+// the next (buffered samples, the modulation-reference latch, the
+// modulation resampler plan). A chunk's working memory (STFT workspace,
+// spectrogram, shadow surface, selector arena, chunk/shadow/modulated
+// waveforms) belongs to the thread computing it (ChunkScratch::ThisThread,
+// DESIGN.md §5i), so many idle processors cost no scratch.
 #pragma once
 
 #include <cstdint>
@@ -68,10 +75,10 @@ class StreamingProcessor {
   void CompleteShadowChunkInto(const audio::Waveform& shadow,
                                audio::Waveform& out);
 
-  /// Full zero-allocation chunk path: GenerateShadowInto through this
-  /// processor's ShadowScratch, then CompleteShadowChunkInto. Bit-identical
-  /// to Push-ing the same chunk; `chunk` must be exactly chunk_samples()
-  /// long.
+  /// Full zero-allocation chunk path: GenerateShadowInto through the
+  /// calling thread's ChunkScratch, then CompleteShadowChunkInto.
+  /// Bit-identical to Push-ing the same chunk; `chunk` must be exactly
+  /// chunk_samples() long.
   void ProcessChunkInto(const audio::Waveform& chunk, audio::Waveform& out);
 
   // --- Stream-state export/restore (fleet session migration; §5h).
@@ -99,30 +106,14 @@ class StreamingProcessor {
   SelectorKind kind() const { return kind_; }
   const NecPipeline& pipeline() const { return pipeline_; }
 
-  /// Full per-chunk scratch (workspace, spectrogram, shadow surface,
-  /// selector arena) for whoever generates this processor's shadows (the
-  /// processor itself, or the runtime dispatcher in batched mode). Scratch
-  /// only — contents never affect output bits — but not shareable across
-  /// concurrent callers.
-  ShadowScratch& shadow_scratch() { return scratch_; }
-
  private:
   const NecPipeline& pipeline_;
   SelectorKind kind_;
   std::size_t chunk_samples_;
   audio::Waveform buffer_;
-  /// Reused per-chunk scratch (DESIGN.md §5i) — the hot path allocates
-  /// nothing after the first chunk. Processors are single-threaded by
-  /// contract.
-  ShadowScratch scratch_;
   /// Cached modulation resampler taps (16 kHz baseband → air rate) and the
   /// bound carrier table.
   dsp::ResamplerPlan resample_plan_;
-  /// Reused Push-path buffers: popped chunk, baseband shadow, modulated
-  /// output of the chunk in flight.
-  audio::Waveform chunk_wave_;
-  audio::Waveform shadow_wave_;
-  audio::Waveform modulated_wave_;
   /// Stream-wide modulation reference, latched from the first non-silent
   /// shadow chunk when options().modulation.reference_peak is 0. One gain
   /// for the whole stream keeps the emitted power coefficient from

@@ -117,6 +117,9 @@ struct Router::Connection {
   std::string outbound;
   std::size_t out_off = 0;
   bool close_after_write = false;
+  /// The client hung up (read EOF). With no session left open that is an
+  /// orderly close, not a drop.
+  bool peer_closed = false;
   bool authed = false;      ///< v2 handshake done (or auth disabled)
   bool challenged = false;  ///< kAuthChallenge outstanding
   std::uint64_t nonce = 0;
@@ -368,7 +371,11 @@ void Router::Serve() {
         bool alive = (revents & (POLLERR | POLLHUP | POLLNVAL)) == 0;
         if (alive && (revents & POLLIN)) alive = ReadClient(conn);
         if (!alive) {
-          CloseConnection(conn, /*dropped=*/true);
+          // An orderly hang-up after every session closed is not a drop
+          // (net_stats.h: dropped = closed by error, timeout or us).
+          CloseConnection(conn, /*dropped=*/!conn.peer_closed ||
+                                    !conn.session_shard.empty() ||
+                                    !conn.migrations.empty());
           connections_.erase(connections_.begin() +
                              static_cast<std::ptrdiff_t>(slots[i].conn_index));
           mutated = true;  // pfds indices are stale; repoll
@@ -449,7 +456,10 @@ bool Router::ReadClient(Connection& conn) {
   std::uint8_t buf[64 * 1024];
   for (;;) {
     const ssize_t n = ::recv(conn.fd, buf, sizeof buf, 0);
-    if (n == 0) return false;
+    if (n == 0) {
+      conn.peer_closed = true;
+      return false;
+    }
     if (n < 0) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) break;

@@ -57,6 +57,9 @@ struct NetServer::Connection {
   std::size_t out_off = 0;    ///< written prefix of outbound
   std::uint64_t last_activity_ms = 0;
   bool close_after_write = false;  ///< fatal error already queued
+  /// The peer hung up (read EOF). With no session left open that is an
+  /// orderly close, not a drop.
+  bool peer_closed = false;
   bool authed = false;        ///< v2 handshake passed (or auth disabled)
   bool challenged = false;    ///< a nonce is outstanding
   std::uint64_t nonce = 0;    ///< per-connection challenge nonce
@@ -142,8 +145,13 @@ void NetServer::Serve() {
         alive = false;
       }
       if (!alive) {
-        CloseConnection(conn, /*dropped=*/!conn.close_after_write ||
-                                  conn.out_off < conn.outbound.size());
+        // Not a drop (net_stats.h: closed by error, timeout or us): the
+        // peer hanging up after its sessions closed, or us closing after
+        // a fatal reply was fully written.
+        const bool orderly =
+            (conn.peer_closed && conn.sessions.empty()) ||
+            (conn.close_after_write && conn.out_off >= conn.outbound.size());
+        CloseConnection(conn, /*dropped=*/!orderly);
         connections_.erase(connections_.begin() +
                            static_cast<std::ptrdiff_t>(i));
         --i;
@@ -177,7 +185,10 @@ bool NetServer::ReadAndDispatch(Connection& conn) {
   std::uint8_t buf[64 * 1024];
   for (;;) {
     const ssize_t n = ::recv(conn.fd, buf, sizeof buf, 0);
-    if (n == 0) return false;  // orderly close
+    if (n == 0) {
+      conn.peer_closed = true;
+      return false;
+    }
     if (n < 0) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) break;

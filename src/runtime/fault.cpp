@@ -69,8 +69,7 @@ FaultInjector& FaultInjector::Global() {
 void FaultInjector::Arm(const std::string& site, Spec spec,
                         std::uint64_t seed) {
   std::lock_guard lock(mu_);
-  SiteState& state = sites_[site];
-  state = SiteState{.spec = spec, .rng = Rng(seed)};
+  sites_[site][spec.key] = SiteState{.spec = spec, .rng = Rng(seed)};
   armed_sites_.store(sites_.size(), std::memory_order_relaxed);
 }
 
@@ -100,7 +99,7 @@ bool FaultInjector::ShouldFire(SiteState& state, std::uint64_t key) {
 }
 
 void FaultInjector::OnSiteSlow(const char* site, std::uint64_t key) {
-  // Decide under the lock, act (throw / sleep) after releasing it.
+  // Decide under the lock, act (sleep, then throw) after releasing it.
   ErrorCategory category = ErrorCategory::kInvariant;
   double latency_ms = 0.0;
   bool fire_throw = false;
@@ -108,23 +107,24 @@ void FaultInjector::OnSiteSlow(const char* site, std::uint64_t key) {
     std::lock_guard lock(mu_);
     auto it = sites_.find(site);
     if (it == sites_.end()) return;
-    SiteState& state = it->second;
-    if (state.spec.kind == Kind::kSaturate) return;  // SaturateAt's job
-    if (!ShouldFire(state, key)) return;
-    if (state.spec.kind == Kind::kThrow) {
-      fire_throw = true;
-      category = state.spec.category;
-    } else {
-      latency_ms = state.spec.latency_ms;
+    for (auto& [spec_key, state] : it->second) {
+      if (state.spec.kind == Kind::kSaturate) continue;  // SaturateAt's job
+      if (!ShouldFire(state, key)) continue;
+      if (state.spec.kind == Kind::kLatency) {
+        latency_ms += state.spec.latency_ms;
+      } else if (!fire_throw) {
+        fire_throw = true;
+        category = state.spec.category;
+      }
     }
-  }
-  if (fire_throw) {
-    throw InjectedFault(category, std::string("injected fault at site '") +
-                                      site + "'");
   }
   if (latency_ms > 0.0) {
     std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
         latency_ms));
+  }
+  if (fire_throw) {
+    throw InjectedFault(category, std::string("injected fault at site '") +
+                                      site + "'");
   }
 }
 
@@ -132,16 +132,21 @@ bool FaultInjector::SaturateAt(const char* site, std::uint64_t key) {
   if (!armed()) return false;
   std::lock_guard lock(mu_);
   auto it = sites_.find(site);
-  if (it == sites_.end() || it->second.spec.kind != Kind::kSaturate) {
-    return false;
+  if (it == sites_.end()) return false;
+  bool fire = false;
+  for (auto& [spec_key, state] : it->second) {
+    if (state.spec.kind == Kind::kSaturate) fire |= ShouldFire(state, key);
   }
-  return ShouldFire(it->second, key);
+  return fire;
 }
 
 std::uint64_t FaultInjector::injections(const std::string& site) const {
   std::lock_guard lock(mu_);
   auto it = sites_.find(site);
-  return it == sites_.end() ? 0 : it->second.injected;
+  if (it == sites_.end()) return 0;
+  std::uint64_t injected = 0;
+  for (const auto& [spec_key, state] : it->second) injected += state.injected;
+  return injected;
 }
 
 }  // namespace nec::runtime

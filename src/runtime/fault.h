@@ -110,11 +110,14 @@ class InjectedFault : public std::runtime_error {
 /// Deterministic, seeded fault injector. Compiled in always; every site
 /// costs one relaxed atomic load while disarmed. Sites are named strings
 /// (e.g. "strand.chunk", "batch.item", "pool.submit") hit by runtime code
-/// via OnSite()/SaturateAt(); a site only fires for hits whose key
-/// matches its armed Spec, so tests can target exactly one session.
+/// via OnSite()/SaturateAt(); a spec only fires for hits whose key
+/// matches it, so tests can target exactly one session. One site holds
+/// one spec per key: arming (site, key) again replaces that spec, and
+/// specs with different keys coexist (say, a latency on one session and
+/// a throw on another).
 ///
-/// Determinism: each armed site owns a seeded Rng consumed only by
-/// matching hits. A key-filtered site is hit from a single thread at a
+/// Determinism: each armed spec owns a seeded Rng consumed only by
+/// matching hits. A key-filtered spec is hit from a single thread at a
 /// time (one strand per session; one coalescer), so given the same seed
 /// and stream the injection schedule is reproducible.
 class FaultInjector {
@@ -142,9 +145,11 @@ class FaultInjector {
     std::uint64_t limit = ~std::uint64_t{0};
   };
 
-  /// Arms (or re-arms) a site. Thread-safe.
+  /// Arms `spec` at `site`, replacing the site's spec with the same key
+  /// (if any). Thread-safe.
   void Arm(const std::string& site, Spec spec, std::uint64_t seed = 1);
 
+  /// Removes every spec armed at `site`.
   void Disarm(const std::string& site);
   void DisarmAll();
 
@@ -153,8 +158,9 @@ class FaultInjector {
     return armed_sites_.load(std::memory_order_relaxed) != 0;
   }
 
-  /// Reports a hit at `site`. May throw InjectedFault (kThrow) or sleep
-  /// (kLatency). No-op while disarmed or when the site/key doesn't match.
+  /// Reports a hit at `site`. May sleep (every kLatency spec that fires)
+  /// and then throw InjectedFault (the first kThrow spec that fires, by
+  /// key). No-op while disarmed or when no spec's key matches.
   void OnSite(const char* site, std::uint64_t key = kAnyKey) {
     if (!armed()) return;
     OnSiteSlow(site, key);
@@ -164,7 +170,8 @@ class FaultInjector {
   /// should behave as if its queue were full. No-op (false) otherwise.
   bool SaturateAt(const char* site, std::uint64_t key = kAnyKey);
 
-  /// How many times `site` actually injected (threw / slept / saturated).
+  /// How many times `site`'s specs actually injected (threw / slept /
+  /// saturated), summed over keys.
   std::uint64_t injections(const std::string& site) const;
 
   /// Process-wide injector the runtime's sites report to.
@@ -182,8 +189,12 @@ class FaultInjector {
   /// Decides whether this hit fires; updates counters. Caller holds mu_.
   bool ShouldFire(SiteState& state, std::uint64_t key);
 
+  /// Site → (spec key → state); a site's entry exists only while it
+  /// holds a spec.
+  using Site = std::map<std::uint64_t, SiteState>;
+
   mutable std::mutex mu_;
-  std::map<std::string, SiteState> sites_;           ///< guarded by mu_
+  std::map<std::string, Site> sites_;  ///< guarded by mu_
   std::atomic<std::uint64_t> armed_sites_{0};
 };
 

@@ -182,6 +182,7 @@ void SessionManager::RunStrand(Session* s) {
     return;
   }
   NEC_TRACE_SPAN_ARG("runtime.strand", s->id);
+  core::ChunkScratch& scratch = core::ChunkScratch::ThisThread();
   std::vector<float> take;
   for (;;) {
     std::chrono::steady_clock::time_point ready;
@@ -205,10 +206,10 @@ void SessionManager::RunStrand(Session* s) {
     s->proc.BufferSamples(take);
     bool faulted = false;
     while (s->proc.HasFullChunk()) {
-      s->proc.PopChunkInto(s->chunk_buf);
+      s->proc.PopChunkInto(scratch.chunk);
       // The wire-carried flow names ONE chunk; the first popped from this
       // take claims it.
-      if (!ProcessOneChunk(s, s->chunk_buf, ready,
+      if (!ProcessOneChunk(s, scratch.chunk, ready,
                            std::exchange(flow, 0))) {
         faulted = true;  // FaultSession already shed inbox + running
         break;
@@ -261,21 +262,21 @@ void SessionManager::RunStrandBatched(Session* s) {
 void SessionManager::GenerateShadowAtLevelInto(Session* s,
                                                const audio::Waveform& chunk,
                                                DegradeLevel level,
-                                               audio::Waveform& out) {
+                                               core::ChunkScratch& scratch) {
   switch (level) {
     case DegradeLevel::kNeural:
       s->pipeline.GenerateShadowInto(chunk, core::SelectorKind::kNeural,
-                                     s->proc.shadow_scratch(), out);
+                                     scratch.single, scratch.shadow);
       return;
     case DegradeLevel::kLasFallback:
       s->pipeline.GenerateShadowInto(chunk, core::SelectorKind::kLasMask,
-                                     s->proc.shadow_scratch(), out);
+                                     scratch.single, scratch.shadow);
       return;
     case DegradeLevel::kSilence:
       // Passthrough rung: an all-zero shadow modulates to silence — no
       // cancellation, but the stream keeps its cadence and the ladder can
       // probe back up.
-      out.AssignSilence(chunk.sample_rate(), chunk.size());
+      scratch.shadow.AssignSilence(chunk.sample_rate(), chunk.size());
       return;
   }
   NEC_CHECK_MSG(false, "unreachable degrade level");
@@ -294,6 +295,7 @@ bool SessionManager::ProcessOneChunk(
   // share of the end-to-end number.
   HopStats::Global().Record(Hop::kShardQueue, MsSince(ready));
   const FaultOptions& fo = options_.fault;
+  core::ChunkScratch& scratch = core::ChunkScratch::ThisThread();
   std::size_t attempts = 0;
   for (;;) {
     try {
@@ -301,8 +303,8 @@ bool SessionManager::ProcessOneChunk(
       obs::TraceRecorder& rec = obs::TraceRecorder::Global();
       const std::uint64_t t0_ns = rec.enabled() ? obs::TraceNowNs() : 0;
       FaultInjector::Global().OnSite("strand.chunk", s->id);
-      GenerateShadowAtLevelInto(s, chunk, level, s->shadow_buf);
-      s->proc.CompleteShadowChunkInto(s->shadow_buf, s->mod_buf);
+      GenerateShadowAtLevelInto(s, chunk, level, scratch);
+      s->proc.CompleteShadowChunkInto(scratch.shadow, scratch.modulated);
       const double total_ms = MsSince(t0);
       stats_.AddChunk(total_ms);
       stats_.AddChunkE2E(MsSince(ready));
@@ -318,7 +320,7 @@ bool SessionManager::ProcessOneChunk(
       if (s->output.size() == 0) {
         s->output_since = std::chrono::steady_clock::now();
       }
-      s->output.Append(s->mod_buf);
+      s->output.Append(scratch.modulated);
       ++s->chunk_count;
       UpdateWatchdogLocked(s, level, probe, total_ms);
       return true;
@@ -406,12 +408,12 @@ void SessionManager::RunBatch(std::vector<ContinuousBatcher::Item>&& items) {
     }
   }
 
-  // Slot j of the dispatcher's batch scratch serves neural[j].
-  thread_local BatchScratch batch;
-  while (batch.slots.size() < neural.size()) batch.slots.emplace_back();
+  // Slot j of the dispatcher's scratch serves neural[j].
+  core::ChunkScratch& scratch = core::ChunkScratch::ThisThread();
+  while (scratch.slots.size() < neural.size()) scratch.slots.emplace_back();
   std::vector<std::optional<SessionError>> errors(items.size());
   if (!neural.empty()) {
-    GenerateShadowsBisect(items, neural, 0, neural.size(), batch, errors);
+    GenerateShadowsBisect(items, neural, 0, neural.size(), scratch, errors);
   }
 
   // Complete in admission order: per-session chunk order — and with it
@@ -424,7 +426,7 @@ void SessionManager::RunBatch(std::vector<ContinuousBatcher::Item>&& items) {
         stats_.AddSamplesDropped(items[i].chunk.size());
         break;
       case Route::kBatched: {
-        const audio::Waveform& shadow = batch.slots[slot++].shadow;
+        const audio::Waveform& shadow = scratch.slots[slot++].shadow;
         if (errors[i].has_value()) {
           // The bisection isolated this item as the poison.
           HandleGenerationError(s, std::move(items[i].chunk),
@@ -432,7 +434,7 @@ void SessionManager::RunBatch(std::vector<ContinuousBatcher::Item>&& items) {
           break;
         }
         try {
-          s->proc.CompleteShadowChunkInto(shadow, s->mod_buf);
+          s->proc.CompleteShadowChunkInto(shadow, scratch.modulated);
           // Chunk latency keeps its PR 2 meaning — processing time, not
           // queue wait: batch dispatch start → this chunk's completion.
           // End-to-end latency is the honest one: batcher enqueue → this
@@ -450,7 +452,7 @@ void SessionManager::RunBatch(std::vector<ContinuousBatcher::Item>&& items) {
           if (s->output.size() == 0) {
             s->output_since = std::chrono::steady_clock::now();
           }
-          s->output.Append(s->mod_buf);
+          s->output.Append(scratch.modulated);
           ++s->chunk_count;
           UpdateWatchdogLocked(s, DegradeLevel::kNeural, /*probe=*/false,
                                total_ms);
@@ -479,7 +481,7 @@ void SessionManager::RunBatch(std::vector<ContinuousBatcher::Item>&& items) {
 void SessionManager::GenerateShadowsBisect(
     std::vector<ContinuousBatcher::Item>& items,
     const std::vector<std::size_t>& indices, std::size_t begin,
-    std::size_t end, BatchScratch& batch,
+    std::size_t end, core::ChunkScratch& scratch,
     std::vector<std::optional<SessionError>>& errors) {
   const std::size_t n = end - begin;
   if (n == 0) return;
@@ -491,13 +493,15 @@ void SessionManager::GenerateShadowsBisect(
       // Per-item injection site, hit inside the attempt so the bisection
       // isolates down to the single poisoned item.
       FaultInjector::Global().OnSite("batch.item", s->id);
-      BatchScratch::Slot& slot = batch.slots[begin + j];
+      core::ChunkScratch::Slot& slot = scratch.slots[begin + j];
       requests[j] = core::ShadowBatchRequest{.pipeline = &s->pipeline,
                                              .mixed = &items[i].chunk,
                                              .scratch = &slot.scratch,
                                              .out = &slot.shadow};
     }
-    core::GenerateShadowBatchInto(requests, batch.arena);
+    // The single-chunk arena is free here: the thread completes its
+    // single chunks only after the batched forward returns.
+    core::GenerateShadowBatchInto(requests, scratch.single.arena);
   } catch (...) {
     if (n == 1) {
       errors[indices[begin]] = ClassifyCurrentException();
@@ -509,8 +513,8 @@ void SessionManager::GenerateShadowsBisect(
     // O(log n) extra forwards for the poisoned item's neighborhood.
     stats_.AddBatchSplit();
     const std::size_t mid = begin + n / 2;
-    GenerateShadowsBisect(items, indices, begin, mid, batch, errors);
-    GenerateShadowsBisect(items, indices, mid, end, batch, errors);
+    GenerateShadowsBisect(items, indices, begin, mid, scratch, errors);
+    GenerateShadowsBisect(items, indices, mid, end, scratch, errors);
   }
 }
 

@@ -46,11 +46,20 @@
 // time and stream order — and with it the modulation-reference latch — is
 // exactly the sequential path's. In this mode a session's
 // StreamingProcessor is split between threads by member: the strand owns
-// the sample buffer, the owning dispatcher owns the STFT scratch /
-// modulation latch — disjoint state, see streaming.h. Degraded
+// the sample buffer, the owning dispatcher owns the modulation latch and
+// resampler plan — disjoint state, see streaming.h. Degraded
 // sessions' chunks still ride the lane FIFO but are generated singly by
 // the dispatcher that claimed the lane, so per-session completion order
 // is preserved across ladder transitions.
+//
+// Memory: a Session holds only what its stream needs across chunks
+// (enrollment, the processor's sample buffer, modulation latch and
+// resampler plan, the inbox and output, the counters). Every per-chunk
+// buffer (STFT workspace, spectrogram, shadow surface, selector arena,
+// popped chunk, shadow and modulated waveforms, batch slots) belongs to
+// the thread computing the chunk: core::ChunkScratch::ThisThread() on a
+// pool worker (unbatched strands) or a batch dispatcher. Resident scratch
+// therefore scales with Options::workers, not with the session count.
 #pragma once
 
 #include <chrono>
@@ -279,6 +288,9 @@ class SessionManager {
   void Shutdown();
 
  private:
+  /// One protection session: only the state its stream carries from one
+  /// chunk to the next. It owns no per-chunk buffer; the thread computing
+  /// its chunk lends one (core::ChunkScratch, see the header comment).
   struct Session {
     Session(std::shared_ptr<const core::Selector> selector,
             std::shared_ptr<const encoder::SpeakerEncoder> encoder,
@@ -296,13 +308,6 @@ class SessionManager {
     core::NecPipeline pipeline;
     core::StreamingProcessor proc;  ///< strand-owned, see header comment
     const SessionId id;             ///< fault-injection key + status
-
-    /// Per-chunk reuse buffers for the Into hot path (popped chunk,
-    /// generated shadow, modulated output). Same exclusivity contract as
-    /// `proc`: touched only by the strand or the dispatcher holding the
-    /// session's lane, so steady-state chunks recycle their capacity
-    /// instead of allocating.
-    audio::Waveform chunk_buf, shadow_buf, mod_buf;
 
     std::mutex mu;
     std::deque<float> inbox;   ///< guarded by mu
@@ -352,35 +357,23 @@ class SessionManager {
   bool ProcessOneChunk(Session* session, const audio::Waveform& chunk,
                        std::chrono::steady_clock::time_point ready,
                        std::uint64_t flow = 0);
-  /// Generates the shadow at `level` into the session's reuse buffer
-  /// (session->shadow_buf via caller) — the zero-allocation strand path.
+  /// Generates the shadow at `level` into `scratch.shadow`, using the
+  /// single-chunk half of the calling thread's scratch — the
+  /// zero-allocation strand path.
   void GenerateShadowAtLevelInto(Session* session,
                                  const audio::Waveform& chunk,
-                                 DegradeLevel level, audio::Waveform& out);
-  /// Per-dispatcher-thread storage for batched shadow generation: one
-  /// slot (STFT workspace, spectrogram, shadow surface, shadow waveform)
-  /// per batch item, plus the arena the batch's selector intermediates
-  /// live in. It lives with the dispatcher, not the sessions: per-session
-  /// copies would multiply resident memory by the session count. A
-  /// std::deque, so growing never moves a slot (ShadowScratch holds a
-  /// non-movable Arena).
-  struct BatchScratch {
-    struct Slot {
-      core::ShadowScratch scratch;
-      audio::Waveform shadow;
-    };
-    core::Arena arena;
-    std::deque<Slot> slots;
-  };
+                                 DegradeLevel level,
+                                 core::ChunkScratch& scratch);
 
   /// Batched forward over indices[begin, end) with bisection: a sub-batch
   /// that throws is split until the poisoned item is isolated; its slot in
   /// `errors` (indexed like `items`) gets the error, every other item's
-  /// shadow lands in batch.slots[j] for indices[j].
+  /// shadow lands in scratch.slots[j] for indices[j]. `scratch` is the
+  /// dispatcher's own (core::ChunkScratch::ThisThread).
   void GenerateShadowsBisect(std::vector<ContinuousBatcher::Item>& items,
                              const std::vector<std::size_t>& indices,
                              std::size_t begin, std::size_t end,
-                             BatchScratch& batch,
+                             core::ChunkScratch& scratch,
                              std::vector<std::optional<SessionError>>& errors);
 
   /// Applies the on_error policy to a chunk whose batched generation

@@ -11,15 +11,21 @@
 namespace {
 
 std::atomic<std::uint64_t> g_alloc_count{0};
+std::atomic<std::uint64_t> g_alloc_bytes{0};
+
+void Count(std::size_t size) noexcept {
+  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
+}
 
 void* CountedAlloc(std::size_t size) noexcept {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  Count(size);
   if (size == 0) size = 1;
   return std::malloc(size);
 }
 
 void* CountedAllocAligned(std::size_t size, std::size_t align) noexcept {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  Count(size);
   if (size == 0) size = align;
   // aligned_alloc requires the size to be a multiple of the alignment.
   const std::size_t rounded = (size + align - 1) / align * align;
@@ -52,6 +58,10 @@ namespace nec::test {
 
 std::uint64_t AllocCount() {
   return g_alloc_count.load(std::memory_order_relaxed);
+}
+
+std::uint64_t AllocBytes() {
+  return g_alloc_bytes.load(std::memory_order_relaxed);
 }
 
 }  // namespace nec::test

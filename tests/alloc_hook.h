@@ -6,8 +6,13 @@
 // contract (DESIGN.md §5i): warm up the per-chunk pipeline, snapshot
 // AllocCount(), run N chunks, and assert the delta is zero.
 //
-// The counter is a relaxed atomic, exact whenever the audited phase is
-// single-threaded (test_hot_path runs both arms on the test's own thread).
+// AllocBytes() sums the requested sizes, for audits of how much a phase
+// allocates rather than how often (test_hot_path's per-session scratch
+// check).
+//
+// The counters are relaxed atomics, exact whenever the audited phase is
+// single-threaded or joined before it is read (test_hot_path's runtime
+// case reads them after SessionManager::Drain).
 #pragma once
 
 #include <cstdint>
@@ -16,5 +21,8 @@ namespace nec::test {
 
 /// Number of operator-new calls (all variants) since process start.
 std::uint64_t AllocCount();
+
+/// Bytes requested by those calls since process start.
+std::uint64_t AllocBytes();
 
 }  // namespace nec::test

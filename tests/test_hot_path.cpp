@@ -11,6 +11,10 @@
 //    alloc_hook.cpp (linked into this binary only) replaces the global
 //    operator new family with counting wrappers. Enrollment allocates, so
 //    a nonzero enrollment count proves the hook is engaged.
+//  * per-chunk scratch belongs to the computing thread — on a warm
+//    1-worker SessionManager (unbatched and max_batch 2), a new session's
+//    first chunk allocates, beside its output, less than an eighth of one
+//    selector arena: it runs in the worker's scratch, not in its own.
 //  * disabled tracing ≤ 2 % of a chunk — the span sites one chunk passes
 //    through, times the measured cost of a disabled NEC_TRACE_SPAN site,
 //    must stay within 2 % of the measured chunk time; and a disabled site
@@ -35,11 +39,13 @@
 #include "core/streaming.h"
 #include "encoder/encoder.h"
 #include "obs/trace.h"
+#include "runtime/session_manager.h"
 #include "synth/dataset.h"
 
 namespace nec::core {
 namespace {
 
+using test::AllocBytes;
 using test::AllocCount;
 
 constexpr double kChunkSeconds = 1.0;
@@ -184,6 +190,58 @@ TEST_F(HotPathTest, BatchedArmAllocatesNothingPerChunk) {
   EXPECT_EQ(MeasuredAllocs(arm), 0u)
       << "allocations over " << kMeasuredChunks << " warm batches of "
       << kBatch;
+}
+
+/// Bytes a runtime SessionManager with one worker and `max_batch`
+/// allocates for a second session's first chunk, beyond the chunk's own
+/// output (which the session keeps until it is taken). One session is
+/// warmed first; the second is enrolled before the count starts, then one
+/// chunk is submitted and drained.
+std::uint64_t SecondSessionFirstChunkBytes(
+    std::shared_ptr<const Selector> selector,
+    std::shared_ptr<const encoder::SpeakerEncoder> encoder,
+    const std::vector<std::vector<audio::Waveform>>& references,
+    const std::vector<audio::Waveform>& chunks, std::size_t max_batch) {
+  runtime::SessionManager manager(
+      std::move(selector), std::move(encoder), {},
+      {.workers = 1, .chunk_s = kChunkSeconds, .max_batch = max_batch});
+  const auto warm = manager.CreateSession(references[0]);
+  EXPECT_TRUE(manager.Submit(warm, chunks[0].samples()).ok());
+  manager.Drain();
+  const auto fresh = manager.CreateSession(references[1]);
+  const std::uint64_t before = AllocBytes();
+  EXPECT_TRUE(manager.Submit(fresh, chunks[1].samples()).ok());
+  manager.Drain();
+  const std::uint64_t bytes = AllocBytes() - before;
+  const std::size_t output = manager.TakeOutput(fresh).size();
+  EXPECT_GT(output, 0u) << "the chunk was not served";
+  return bytes - output * sizeof(float);
+}
+
+TEST_F(HotPathTest, ANewSessionBorrowsTheWorkersChunkScratch) {
+  // One session's worth of per-chunk scratch: the selector arena a cold
+  // ShadowScratch grows to on one chunk.
+  EnrollPipelines(1);
+  ShadowScratch cold;
+  audio::Waveform shadow;
+  pipelines_[0]->GenerateShadowInto(chunks_[0], SelectorKind::kNeural, cold,
+                                    shadow);
+  const std::size_t arena_bytes = cold.arena.Capacity();
+  ASSERT_GT(arena_bytes, 0u);
+  for (const std::size_t max_batch : {std::size_t{1}, std::size_t{2}}) {
+    SCOPED_TRACE(testing::Message() << "max_batch " << max_batch);
+    const std::uint64_t bytes = SecondSessionFirstChunkBytes(
+        selector_, encoder_, references_, chunks_, max_batch);
+    std::printf("max_batch %zu: a new session's first chunk allocated "
+                "%.3f MB beside its output (one selector arena: %.2f MB)\n",
+                max_batch, static_cast<double>(bytes) / 1e6,
+                static_cast<double>(arena_bytes) / 1e6);
+    // What the session itself must hold (inbox, sample buffer, resampler
+    // plan) stays small; any per-chunk buffer of its own (an arena, or a
+    // modulated waveform as large as the output) would not fit.
+    EXPECT_LT(bytes, arena_bytes / 8)
+        << "the new session allocated per-chunk scratch of its own";
+  }
 }
 
 /// Best-of-`rounds` nanoseconds per call of `body` over `iters` calls.

@@ -1215,6 +1215,72 @@ TEST(RouterFleetE2E, ServesSessionsBitIdenticalAcrossTwoShards) {
   ExpectShadowsMatchInProcess(model, options, report);
 }
 
+/// Polls `done` every 5 ms for up to 10 s; returns its last answer.
+template <typename Done>
+bool WaitFor(Done&& done) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!done() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  return done();
+}
+
+TEST(RouterFleetE2E, OrderlyHangUpIsNotADropButAKilledPeerIs) {
+  SharedModel model;
+  Fleet fleet(model);
+  // The two shards' counters, summed (the router's status probes hold
+  // one more connection per shard open throughout).
+  const auto shard_stats = [&] {
+    NetStatsSnapshot sum;
+    for (const auto& server : fleet.servers) {
+      const NetStatsSnapshot s = server->StatsSnapshot();
+      sum.connections_accepted += s.connections_accepted;
+      sum.connections_active += s.connections_active;
+      sum.connections_dropped += s.connections_dropped;
+    }
+    return sum;
+  };
+  const auto closed = [](const NetStatsSnapshot& s) {
+    return s.connections_accepted - s.connections_active;
+  };
+
+  // Two sessions on two client connections, each closed in order before
+  // its client hangs up. The router opens one upstream per connection.
+  LoadGenOptions options;
+  options.endpoints = {"127.0.0.1:" + std::to_string(fleet.router->port())};
+  options.sessions = 2;
+  options.connections = 2;
+  options.chunks_per_session = 1;
+  options.max_seconds = 120.0;
+  const LoadGenReport report = RunLoadGen(options);
+  ASSERT_TRUE(report.ok) << report.error;
+  ASSERT_EQ(report.sessions_completed, 2u);
+  ASSERT_TRUE(WaitFor([&] {
+    return fleet.router->StatsSnapshot().connections_active == 0 &&
+           closed(shard_stats()) >= 2;
+  })) << "the router or the shards never saw the clients hang up";
+  EXPECT_EQ(fleet.router->StatsSnapshot().connections_dropped, 0u);
+  EXPECT_EQ(shard_stats().connections_dropped, 0u);
+
+  // A peer killed mid-session: its socket closes with the session open.
+  std::string error;
+  NetClient client;
+  ASSERT_TRUE(
+      client.Connect("127.0.0.1", fleet.router->port(), 2000, &error))
+      << error;
+  HelloInfo hello;
+  ASSERT_TRUE(client.Hello(&hello, 5000, &error)) << error;
+  ASSERT_TRUE(client.OpenSession(1, 42, 43, 30000, &error)) << error;
+  client.Close();
+  ASSERT_TRUE(WaitFor([&] {
+    return fleet.router->StatsSnapshot().connections_dropped >= 1 &&
+           shard_stats().connections_dropped >= 1;
+  })) << "the killed peer was not counted as dropped";
+  EXPECT_EQ(fleet.router->StatsSnapshot().connections_dropped, 1u);
+  EXPECT_EQ(shard_stats().connections_dropped, 1u);
+}
+
 TEST(RouterFleetE2E, KillingOneShardFaultsOnlyItsSessions) {
   SharedModel model;
   Fleet fleet(model);

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <limits>
 #include <memory>
@@ -109,6 +110,32 @@ TEST(FaultInjector, SaturateFiresOnlyForSaturateSpecs) {
   EXPECT_FALSE(injector.SaturateAt("q"));  // limit exhausted
   // A saturate spec never throws from OnSite.
   EXPECT_NO_THROW(injector.OnSite("q"));
+}
+
+TEST(FaultInjector, SpecsWithDifferentKeysCoexistOnOneSite) {
+  FaultInjector injector;
+  injector.Arm("site", {.kind = FaultInjector::Kind::kLatency,
+                        .latency_ms = 1.0,
+                        .key = 1,
+                        .limit = 1});
+  injector.Arm("site", {.kind = FaultInjector::Kind::kThrow, .key = 2});
+  // Key 1's latency survived the second Arm: it fires (and only once).
+  EXPECT_NO_THROW(injector.OnSite("site", 1));
+  EXPECT_EQ(injector.injections("site"), 1u);
+  EXPECT_NO_THROW(injector.OnSite("site", 1));
+  EXPECT_THROW(injector.OnSite("site", 2), InjectedFault);
+  EXPECT_NO_THROW(injector.OnSite("site", 3));
+  EXPECT_EQ(injector.injections("site"), 2u);
+
+  // Re-arming the same (site, key) replaces that spec only: the throw
+  // and its count are gone, key 1's spent latency stays.
+  injector.Arm("site", {.kind = FaultInjector::Kind::kLatency, .key = 2});
+  EXPECT_EQ(injector.injections("site"), 1u);
+  EXPECT_NO_THROW(injector.OnSite("site", 2));
+  EXPECT_EQ(injector.injections("site"), 2u);
+  injector.Disarm("site");
+  EXPECT_FALSE(injector.armed());
+  EXPECT_EQ(injector.injections("site"), 0u);
 }
 
 // --------------------------------------------------------- input hygiene
@@ -533,6 +560,7 @@ TEST_F(RuntimeFaultTest, PoisonedBatchIsBisectedAroundTheVictim) {
                                .category = ErrorCategory::kInvariant,
                                .key = victim});
 
+  const auto gate_start = std::chrono::steady_clock::now();
   EXPECT_TRUE(manager.Submit(gate, gate_chunk.samples()).ok());
   // AddBatch fires at RunBatch entry, before the injected sleep: once the
   // counter ticks, the sole dispatcher is pinned inside the gate batch.
@@ -541,6 +569,12 @@ TEST_F(RuntimeFaultTest, PoisonedBatchIsBisectedAroundTheVictim) {
     EXPECT_TRUE(manager.Submit(ids[i], chunks[i].samples()).ok());
   }
   manager.Drain();  // must return: the poisoned batch cannot stall FIFO
+  // The gate really pinned the dispatcher: its latency spec (armed
+  // beside the victim's throw on the same site) slept in the forward.
+  const double elapsed_ms = std::chrono::duration<double, std::milli>(
+                                std::chrono::steady_clock::now() - gate_start)
+                                .count();
+  EXPECT_GE(elapsed_ms, 3000.0) << "the gate latency never fired";
 
   const RuntimeStatsSnapshot stats = manager.Stats();
   EXPECT_GE(stats.batch_splits, 2u);  // 4 → 2+2 → 1+1 isolates the victim

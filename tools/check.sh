@@ -106,7 +106,9 @@ if [[ "${FAULTS}" == "1" ]]; then
   # test_selector run here too: the register-tiled conv reads into the
   # padded slab's right edge and stores partial vectors at row ends, so an
   # off-by-one there is an over-read or over-write the Release run cannot
-  # see.
+  # see. The fault suite runs five times: its cases race injected
+  # latencies against the dispatcher, so a timing-dependent case must
+  # fail here rather than pass by luck once.
   cmake -B build-check-asan -S . \
     -DCMAKE_BUILD_TYPE=Release \
     -DNEC_NATIVE_ARCH=OFF \
@@ -115,7 +117,10 @@ if [[ "${FAULTS}" == "1" ]]; then
   cmake --build build-check-asan -j "${JOBS}" \
     --target test_runtime_faults test_layers test_selector
   ctest --test-dir build-check-asan --output-on-failure \
-    -R 'test_runtime_faults|test_layers|test_selector' \
+    -R 'test_runtime_faults' --repeat until-fail:5 \
+    --output-junit "${PWD}/build-check-asan/ctest-faults.xml"
+  ctest --test-dir build-check-asan --output-on-failure \
+    -R 'test_layers|test_selector' \
     --output-junit "${PWD}/build-check-asan/ctest.xml"
 fi
 
