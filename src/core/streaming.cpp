@@ -63,6 +63,12 @@ void StreamingProcessor::PopChunkInto(audio::Waveform& chunk) {
       buffer_.data().begin() + static_cast<std::ptrdiff_t>(chunk_samples_));
 }
 
+std::size_t StreamingProcessor::DropBuffered() {
+  const std::size_t dropped = buffer_.size();
+  buffer_.data().clear();
+  return dropped;
+}
+
 std::optional<audio::Waveform> StreamingProcessor::Push(
     std::span<const float> samples) {
   buffer_.data().insert(buffer_.data().end(), samples.begin(),

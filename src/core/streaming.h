@@ -51,11 +51,11 @@ class StreamingProcessor {
   // Push == BufferSamples + { PopChunkInto → ProcessChunkInto } per full
   // chunk, and ProcessChunkInto == GenerateShadowInto →
   // CompleteShadowChunkInto. The batched runtime splits the loop across
-  // threads: the session strand only buffers and pops, the dispatcher runs
-  // the batched shadow generation and then completes each chunk IN STREAM
-  // ORDER — CompleteShadowChunkInto latches the stream-wide modulation
-  // reference from the first non-silent shadow, so completion order is part
-  // of the output bits.
+  // threads: the session's Submit buffers and its strand pops (both under
+  // the session lock), the dispatcher runs the batched shadow generation
+  // and then completes each chunk IN STREAM ORDER — CompleteShadowChunkInto
+  // latches the stream-wide modulation reference from the first non-silent
+  // shadow, so completion order is part of the output bits.
 
   /// Appends monitored samples without processing anything.
   void BufferSamples(std::span<const float> samples);
@@ -66,6 +66,11 @@ class StreamingProcessor {
   /// Pops the oldest full chunk (requires HasFullChunk()) into a
   /// caller-owned buffer (rebound in place; capacity reused).
   void PopChunkInto(audio::Waveform& chunk);
+
+  /// Discards the buffered samples, keeping the modulation-reference latch
+  /// and the buffer's capacity (shedding a backlog, not a fresh stream —
+  /// see Reset). Returns how many samples it dropped.
+  std::size_t DropBuffered();
 
   /// Second half of the chunk path: stream-reference latch + ultrasonic
   /// modulation for a shadow produced externally (batched

@@ -486,6 +486,15 @@ bool NetServer::HandleFrame(Connection& conn, Frame&& frame) {
                   "wire session id already open");
         return true;
       }
+      if (snap.tail.size() >= manager_->chunk_samples()) {
+        // An exporting shard ships only a partial tail; a full chunk
+        // would sit buffered with no strand to pop it.
+        stats_.AddProtocolError();
+        SendError(conn, frame.session_id,
+                  runtime::ErrorCategory::kBadInput,
+                  "restore_session tail holds a full chunk");
+        return true;
+      }
       // Re-enroll deterministically from the migrated seeds (same weights
       // + same seeds = the same enrolled session the draining shard had),
       // then install the mid-stream state — partial tail and modulation
@@ -565,10 +574,10 @@ void NetServer::PumpSessions(Connection& conn) {
 
     if (session.draining && !session.closing) {
       // Migration: deliver whatever shadow already completed, then — once
-      // every in-flight chunk has finished (strand parked, inbox empty,
-      // batcher lane idle) — export the mid-stream state and retire the
-      // wire session. The partial tail is NOT flushed: it travels in the
-      // snapshot and completes on the destination shard.
+      // every in-flight chunk has finished (strand parked, no full chunk
+      // buffered, batcher lane idle) — export the mid-stream state and
+      // retire the wire session. The partial tail is NOT flushed: it
+      // travels in the snapshot and completes on the destination shard.
       if (out.size() > 0) {
         Frame data;
         data.type = FrameType::kShadowData;
@@ -605,11 +614,12 @@ void NetServer::PumpSessions(Connection& conn) {
       continue;
     }
 
-    const bool finish = session.closing &&
-                        status.state == runtime::SessionState::kIdle;
+    const bool finish = session.closing && !session.nudge &&
+                        manager_->SessionQuiescent(session.id);
     if (finish) {
-      // The strand is parked and no Submit can race (only this thread
-      // submits): flush the partial tail, if any, into the same burst.
+      // The strand is parked, the batcher lane is idle and no Submit can
+      // race (only this thread submits): flush the partial tail, if any,
+      // into the same burst, after every earlier chunk.
       if (auto tail = manager_->Flush(session.id)) out.Append(*tail);
     }
     if (out.size() > 0) {

@@ -130,7 +130,6 @@ SubmitResult SessionManager::Submit(SessionId id,
 
   stats_.AddSamples(accepted.size());
 
-  bool dispatch = false;
   {
     std::lock_guard lock(s->mu);
     if (s->error.has_value()) {
@@ -138,19 +137,19 @@ SubmitResult SessionManager::Submit(SessionId id,
       stats_.AddSamplesDropped(accepted.size());
       return SubmitResult{*s->error};
     }
-    if (s->inbox.empty() && !accepted.empty()) {
-      // Arrival time of the oldest unconsumed samples — the anchor for
-      // end-to-end latency on the unbatched path.
-      s->inbox_since = std::chrono::steady_clock::now();
+    const bool had_chunk = s->proc.HasFullChunk();
+    s->proc.BufferSamples(accepted);
+    if (!had_chunk && s->proc.HasFullChunk()) {
+      // The backlog just became processable — the anchor for end-to-end
+      // latency on the unbatched path.
+      s->chunk_ready = std::chrono::steady_clock::now();
     }
-    s->inbox.insert(s->inbox.end(), accepted.begin(), accepted.end());
     if (trace_flow != 0) s->wire_flow = trace_flow;
-    if (!s->running && !s->inbox.empty()) {
-      s->running = true;
-      dispatch = true;
-    }
+    // A sub-chunk tail waits for more samples; an active strand picks up
+    // whatever chunks become ready while it runs.
+    if (s->running || !s->proc.HasFullChunk()) return {};
+    s->running = true;
   }
-  if (!dispatch) return {};  // an active strand will pick the samples up
 
   BeginStrand();
   stats_.AddDispatch();
@@ -160,8 +159,8 @@ SubmitResult SessionManager::Submit(SessionId id,
       !pool_.Submit([this, s] { RunStrand(s); },
                     /*on_drop=*/[this, s] { AbandonStrand(s); })) {
     // Pool bounced the strand (kReject backpressure, shutdown, or an
-    // injected saturation). The samples stay in the inbox; a later Submit
-    // — an empty one will do — redispatches.
+    // injected saturation). The samples stay buffered; a later Submit —
+    // an empty one will do — redispatches.
     stats_.AddDispatchRejection();
     {
       std::lock_guard lock(s->mu);
@@ -177,80 +176,45 @@ SubmitResult SessionManager::Submit(SessionId id,
 }
 
 void SessionManager::RunStrand(Session* s) {
-  if (batcher_ != nullptr) {
-    RunStrandBatched(s);
-    return;
-  }
+  // One chunk per iteration, popped under the session lock. Unbatched, the
+  // strand computes it here; batched, it hands the chunk to the session's
+  // batcher lane in stream order — degraded chunks included, so ALL
+  // completion happens on the dispatcher that claimed the lane and
+  // per-session FIFO order survives ladder transitions (see RunBatch).
   NEC_TRACE_SPAN_ARG("runtime.strand", s->id);
   core::ChunkScratch& scratch = core::ChunkScratch::ThisThread();
-  std::vector<float> take;
   for (;;) {
+    // Batched chunks travel to another thread, so each gets its own
+    // buffer; an unbatched chunk is computed here in the thread's scratch.
+    audio::Waveform batched;
+    audio::Waveform& chunk = batcher_ != nullptr ? batched : scratch.chunk;
     std::chrono::steady_clock::time_point ready;
     std::uint64_t flow = 0;
     {
       std::lock_guard lock(s->mu);
-      if (s->inbox.empty() || s->error.has_value()) {
+      if (s->error.has_value() || !s->proc.HasFullChunk()) {
         s->running = false;
         break;
       }
-      take.assign(s->inbox.begin(), s->inbox.end());
-      s->inbox.clear();
+      s->proc.PopChunkInto(chunk);
+      // The wire-carried flow names ONE chunk: the next one popped.
       flow = std::exchange(s->wire_flow, 0);
-      // Chunks completed from this take were waiting since the oldest
-      // taken sample arrived. When several chunks pop from one take the
-      // later ones inherit the oldest arrival — end-to-end latency may
-      // overcount there, never undercount (honest in the direction that
-      // matters for the deadline check).
-      ready = s->inbox_since;
+      // Chunks popped from one backlog all inherit the instant it first
+      // held a full chunk — end-to-end latency may overcount there, never
+      // undercount (honest in the direction that matters for the
+      // deadline check).
+      ready = s->chunk_ready;
     }
-    s->proc.BufferSamples(take);
-    bool faulted = false;
-    while (s->proc.HasFullChunk()) {
-      s->proc.PopChunkInto(scratch.chunk);
-      // The wire-carried flow names ONE chunk; the first popped from this
-      // take claims it.
-      if (!ProcessOneChunk(s, scratch.chunk, ready,
-                           std::exchange(flow, 0))) {
-        faulted = true;  // FaultSession already shed inbox + running
-        break;
-      }
-    }
-    if (faulted) break;
-  }
-  FinishStrand();
-}
-
-void SessionManager::RunStrandBatched(Session* s) {
-  // Batched strand: never runs the selector. Buffers the inbox into the
-  // processor, pops every ready chunk, and hands each to the batcher in
-  // stream order — degraded chunks included, so ALL completion happens on
-  // the dispatcher that claimed the session's lane and per-session FIFO
-  // order survives ladder transitions. Completion (shadow + modulation +
-  // output append) happens in RunBatch.
-  NEC_TRACE_SPAN_ARG("runtime.strand_batched", s->id);
-  std::vector<float> take;
-  for (;;) {
-    std::uint64_t flow = 0;
-    {
-      std::lock_guard lock(s->mu);
-      if (s->inbox.empty() || s->error.has_value()) {
-        s->running = false;
-        break;
-      }
-      take.assign(s->inbox.begin(), s->inbox.end());
-      s->inbox.clear();
-      flow = std::exchange(s->wire_flow, 0);
+    if (batcher_ == nullptr) {
+      // false: FaultSession already shed the backlog and cleared running.
+      if (!ProcessOneChunk(s, chunk, ready, flow)) break;
+      continue;
     }
     try {
-      s->proc.BufferSamples(take);
-      while (s->proc.HasFullChunk()) {
-        FaultInjector::Global().OnSite("strand.chunk", s->id);
-        // First chunk of the take carries the wire flow (if any); the
-        // batcher adopts it instead of minting a local id.
-        audio::Waveform chunk;
-        s->proc.PopChunkInto(chunk);
-        batcher_->Enqueue(s, std::move(chunk), std::exchange(flow, 0));
-      }
+      FaultInjector::Global().OnSite("strand.chunk", s->id);
+      // The batcher adopts the wire flow (if any) instead of minting a
+      // local id.
+      batcher_->Enqueue(s, std::move(chunk), flow);
     } catch (...) {
       FaultSession(s, ClassifyCurrentException());
       break;
@@ -305,24 +269,10 @@ bool SessionManager::ProcessOneChunk(
       FaultInjector::Global().OnSite("strand.chunk", s->id);
       GenerateShadowAtLevelInto(s, chunk, level, scratch);
       s->proc.CompleteShadowChunkInto(scratch.shadow, scratch.modulated);
-      const double total_ms = MsSince(t0);
-      stats_.AddChunk(total_ms);
-      stats_.AddChunkE2E(MsSince(ready));
-      HopStats::Global().Record(Hop::kShardCompute, total_ms);
-      if (t0_ns != 0) {
-        rec.RecordSpan("shard.compute", "nec", t0_ns,
-                       obs::TraceNowNs() - t0_ns, flow, s->id);
-        if (flow != 0) {
-          rec.RecordFlow(obs::TraceEventKind::kFlowEnd, "chunk.flow", flow);
-        }
+      EmitChunk(s, scratch.modulated, ready, t0, t0_ns, flow, level, probe);
+      if (t0_ns != 0 && flow != 0) {
+        rec.RecordFlow(obs::TraceEventKind::kFlowEnd, "chunk.flow", flow);
       }
-      std::lock_guard lock(s->mu);
-      if (s->output.size() == 0) {
-        s->output_since = std::chrono::steady_clock::now();
-      }
-      s->output.Append(scratch.modulated);
-      ++s->chunk_count;
-      UpdateWatchdogLocked(s, level, probe, total_ms);
       return true;
     } catch (...) {
       SessionError err = ClassifyCurrentException();
@@ -366,6 +316,29 @@ bool SessionManager::ProcessOneChunk(
       return false;
     }
   }
+}
+
+void SessionManager::EmitChunk(Session* s, const audio::Waveform& modulated,
+                               std::chrono::steady_clock::time_point ready,
+                               std::chrono::steady_clock::time_point t0,
+                               std::uint64_t t0_ns, std::uint64_t flow,
+                               DegradeLevel level, bool probe) {
+  const double total_ms = MsSince(t0);
+  stats_.AddChunk(total_ms);
+  stats_.AddChunkE2E(MsSince(ready));
+  HopStats::Global().Record(Hop::kShardCompute, total_ms);
+  if (t0_ns != 0) {
+    obs::TraceRecorder::Global().RecordSpan("shard.compute", "nec", t0_ns,
+                                            obs::TraceNowNs() - t0_ns, flow,
+                                            s->id);
+  }
+  std::lock_guard lock(s->mu);
+  if (s->output.size() == 0) {
+    s->output_since = std::chrono::steady_clock::now();
+  }
+  s->output.Append(modulated);
+  ++s->chunk_count;
+  UpdateWatchdogLocked(s, level, probe, total_ms);
 }
 
 void SessionManager::RunBatch(std::vector<ContinuousBatcher::Item>&& items) {
@@ -435,27 +408,12 @@ void SessionManager::RunBatch(std::vector<ContinuousBatcher::Item>&& items) {
         }
         try {
           s->proc.CompleteShadowChunkInto(shadow, scratch.modulated);
-          // Chunk latency keeps its PR 2 meaning — processing time, not
-          // queue wait: batch dispatch start → this chunk's completion.
-          // End-to-end latency is the honest one: batcher enqueue → this
-          // completion, queue wait included.
-          const double total_ms = MsSince(t0);
-          stats_.AddChunk(total_ms);
-          stats_.AddChunkE2E(MsSince(items[i].enqueued));
-          HopStats::Global().Record(Hop::kShardCompute, total_ms);
-          if (t0_ns != 0) {
-            obs::TraceRecorder::Global().RecordSpan(
-                "shard.compute", "nec", t0_ns, obs::TraceNowNs() - t0_ns,
-                items[i].flow_id, s->id);
-          }
-          std::lock_guard lock(s->mu);
-          if (s->output.size() == 0) {
-            s->output_since = std::chrono::steady_clock::now();
-          }
-          s->output.Append(scratch.modulated);
-          ++s->chunk_count;
-          UpdateWatchdogLocked(s, DegradeLevel::kNeural, /*probe=*/false,
-                               total_ms);
+          // Chunk latency is processing time, not queue wait: batch
+          // dispatch start → this chunk's completion. End-to-end latency
+          // is the honest one: batcher enqueue → this completion, queue
+          // wait included.
+          EmitChunk(s, scratch.modulated, items[i].enqueued, t0, t0_ns,
+                    items[i].flow_id, DegradeLevel::kNeural, /*probe=*/false);
         } catch (...) {
           FaultSession(s, ClassifyCurrentException());
         }
@@ -547,8 +505,7 @@ void SessionManager::FaultSession(Session* s, SessionError error) {
     std::lock_guard lock(s->mu);
     if (!s->error.has_value()) s->error = std::move(error);  // first wins
     ++s->fault_count;
-    shed = s->inbox.size();
-    s->inbox.clear();
+    shed = s->proc.DropBuffered();
     s->running = false;
   }
   if (batcher_ != nullptr) {
@@ -627,8 +584,7 @@ void SessionManager::AbandonStrand(Session* s) {
   std::size_t discarded = 0;
   {
     std::lock_guard lock(s->mu);
-    discarded = s->inbox.size();
-    s->inbox.clear();
+    discarded = s->proc.DropBuffered();
     s->running = false;
   }
   if (batcher_ != nullptr) {
@@ -671,9 +627,11 @@ std::optional<audio::Waveform> SessionManager::Flush(SessionId id) {
   {
     std::lock_guard lock(s->mu);
     if (s->error.has_value()) return std::nullopt;  // tail died with the fault
-    NEC_CHECK_MSG(!s->running && s->inbox.empty(),
-                  "Flush requires an idle session — call Drain() first");
   }
+  // A chunk still in flight would complete after the tail (out of stream
+  // order) and, if it faults, shed the buffer under us.
+  NEC_CHECK_MSG(SessionQuiescent(id),
+                "Flush requires a quiescent session — call Drain() first");
   const auto t0 = std::chrono::steady_clock::now();
   std::optional<audio::Waveform> out = s->proc.Flush();
   if (out.has_value()) {
@@ -722,15 +680,19 @@ void SessionManager::ResetSession(SessionId id) {
                   "ResetSession requires a quiescent session — a faulted "
                   "one, or Drain() first");
     s->error.reset();
-    s->inbox.clear();
     s->level = s->top_level;
     s->consecutive_misses = 0;
     s->successes_at_level = 0;
   }
+  // Purge first, so no chunk left in the lane completes on the fresh
+  // stream's latch.
   if (batcher_ != nullptr) batcher_->Purge(s);
-  // Quiescent by contract, so the strand-owned processor is safe to touch
-  // from here: fresh stream — empty buffer, modulation latch re-latches.
-  s->proc.Reset();
+  {
+    // Fresh stream: empty buffer, modulation latch re-latches. Quiescent
+    // by contract, so no thread is completing a chunk on the latch.
+    std::lock_guard lock(s->mu);
+    s->proc.Reset();
+  }
   stats_.AddSessionReset();
 }
 
@@ -738,7 +700,7 @@ bool SessionManager::SessionQuiescent(SessionId id) const {
   Session* s = GetSession(id);
   {
     std::lock_guard lock(s->mu);
-    if (s->running || !s->inbox.empty()) return false;
+    if (s->running || s->proc.HasFullChunk()) return false;
   }
   // Batched mode: the strand parks while popped chunks still sit in the
   // session's batcher lane (or ride a running batch) — those mutate the
@@ -751,34 +713,31 @@ std::optional<SessionSnapshot> SessionManager::ExportSession(SessionId id) {
   {
     std::lock_guard lock(s->mu);
     if (s->error.has_value()) return std::nullopt;
-    NEC_CHECK_MSG(!s->running && s->inbox.empty(),
-                  "ExportSession requires a quiescent session");
   }
-  NEC_CHECK_MSG(batcher_ == nullptr || batcher_->idle_for(s),
-                "ExportSession with chunks still in the batcher");
-  // Quiescent by contract, so the strand-owned processor is safe to read.
+  // Quiescent by contract: no chunk is completing on the latch.
+  NEC_CHECK_MSG(SessionQuiescent(id),
+                "ExportSession requires a quiescent session");
   SessionSnapshot snapshot;
+  std::lock_guard lock(s->mu);
   const auto tail = s->proc.buffered_samples();
   snapshot.tail.assign(tail.begin(), tail.end());
   snapshot.mod_reference_peak = s->proc.modulation_reference_peak();
-  {
-    std::lock_guard lock(s->mu);
-    snapshot.chunks_emitted = s->chunk_count;
-  }
+  snapshot.chunks_emitted = s->chunk_count;
   return snapshot;
 }
 
 void SessionManager::RestoreSession(SessionId id,
                                     const SessionSnapshot& snapshot) {
   Session* s = GetSession(id);
-  {
-    std::lock_guard lock(s->mu);
-    NEC_CHECK_MSG(!s->running && s->inbox.empty() && !s->error.has_value() &&
-                      s->chunk_count == 0,
-                  "RestoreSession requires a fresh session");
-    s->chunk_count = snapshot.chunks_emitted;
-  }
-  // Fresh by contract — RestoreStreamState re-checks the processor side.
+  std::lock_guard lock(s->mu);
+  // An exported tail is always shorter than a chunk; a longer one would
+  // sit buffered with no strand to pop it.
+  NEC_CHECK_MSG(!s->running && s->proc.buffered_samples().empty() &&
+                    !s->error.has_value() && s->chunk_count == 0 &&
+                    snapshot.tail.size() < chunk_samples_,
+                "RestoreSession requires a fresh session and a sub-chunk tail");
+  s->chunk_count = snapshot.chunks_emitted;
+  // RestoreStreamState re-checks the latch is unlatched.
   s->proc.RestoreStreamState(snapshot.tail, snapshot.mod_reference_peak);
 }
 

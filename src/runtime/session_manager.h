@@ -9,13 +9,14 @@
 // nn/layers.h).
 //
 // Concurrency model: per-session *strands* over a shared ThreadPool. Audio
-// submitted to a session lands in that session's inbox; at most one pool
-// task per session is in flight at any time, and it drains the inbox chunk
-// by chunk through the session's StreamingProcessor. Chunks of one session
-// therefore process strictly in submission order on a single logical
-// stream — per-session output is bit-identical to running the sequential
-// StreamingProcessor — while chunks of *different* sessions run in
-// parallel across the pool's workers.
+// submitted to a session is appended to its StreamingProcessor's sample
+// buffer — the session's only copy of the stream — and a strand is
+// dispatched once that buffer holds a full chunk. At most one pool task
+// per session is in flight at any time, and it pops the buffer chunk by
+// chunk. Chunks of one session therefore process strictly in submission
+// order on a single logical stream — per-session output is bit-identical
+// to running the sequential StreamingProcessor — while chunks of
+// *different* sessions run in parallel across the pool's workers.
 //
 // Fault isolation (DESIGN.md §5f): every exception raised while processing
 // a session's audio is caught AT THE SESSION BOUNDARY. The session
@@ -28,15 +29,17 @@
 // step down a graceful-degradation ladder (neural → LAS → silence) with
 // automatic recovery probes back up — see Options::fault.
 //
-// Lock discipline: Session::mu guards inbox/output/running plus the fault
-// and degradation state; the StreamingProcessor itself is touched only by
-// the session's single active strand task (hand-off between consecutive
-// strand tasks is ordered by Session::mu and the pool queue's mutex, so no
-// additional lock is needed). RuntimeStats is all-atomic.
+// Lock discipline: Session::mu guards the processor's sample buffer
+// (Submit appends, the strand pops, shedding drops), output and running,
+// plus the fault and degradation state. The processor's completion state
+// (modulation latch, resampler plan) is touched only by the one thread
+// completing the session's chunks — its strand, or in batched mode the
+// dispatcher holding its lane — so it needs no lock. RuntimeStats is
+// all-atomic.
 //
 // Continuous batching (Options::max_batch > 1, neural selector only):
-// strands stop running the selector themselves — they buffer samples, pop
-// ready chunks, and enqueue them on the ContinuousBatcher, which admits
+// strands stop running the selector themselves — the same strand loop pops
+// each ready chunk and enqueues it on the ContinuousBatcher, which admits
 // them into the next batched forward as soon as a dispatch slot frees
 // (earliest deadline first across sessions, FIFO within a session — see
 // batcher.h). Options::workers dispatch threads run RunBatch concurrently
@@ -45,16 +48,16 @@
 // StreamingProcessor completion state is still touched by one thread at a
 // time and stream order — and with it the modulation-reference latch — is
 // exactly the sequential path's. In this mode a session's
-// StreamingProcessor is split between threads by member: the strand owns
-// the sample buffer, the owning dispatcher owns the modulation latch and
-// resampler plan — disjoint state, see streaming.h. Degraded
+// StreamingProcessor is split between threads by member: the sample
+// buffer is under Session::mu, the owning dispatcher holds the modulation
+// latch and resampler plan — disjoint state, see streaming.h. Degraded
 // sessions' chunks still ride the lane FIFO but are generated singly by
 // the dispatcher that claimed the lane, so per-session completion order
 // is preserved across ladder transitions.
 //
 // Memory: a Session holds only what its stream needs across chunks
 // (enrollment, the processor's sample buffer, modulation latch and
-// resampler plan, the inbox and output, the counters). Every per-chunk
+// resampler plan, the output, the counters). Every per-chunk
 // buffer (STFT workspace, spectrogram, shadow surface, selector arena,
 // popped chunk, shadow and modulated waveforms, batch slots) belongs to
 // the thread computing the chunk: core::ChunkScratch::ThisThread() on a
@@ -65,7 +68,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -165,7 +167,7 @@ class SessionManager {
     core::SelectorKind kind = core::SelectorKind::kNeural;
 
     // --- Continuous batching (DESIGN.md §5e). max_batch = 1 disables the
-    // batcher and keeps the per-strand Push path. Batching applies to
+    // batcher: strands compute their own chunks. Batching applies to
     // the neural selector only (the LAS ablation has no batched forward).
     // When enabled, `workers` also sets the batcher's dispatch-thread
     // count — the heavy compute moves off the pool strands onto the
@@ -198,8 +200,9 @@ class SessionManager {
   /// of 3 s). Thread-safe; returns a dense id.
   SessionId CreateSession(std::span<const audio::Waveform> references);
 
-  /// Feeds monitored samples to a session and schedules processing on the
-  /// pool. See SubmitResult for the error contract; in brief: a kOverload
+  /// Feeds monitored samples to a session's buffer and, once it holds a
+  /// full chunk and no strand is in flight, dispatches one on the pool.
+  /// See SubmitResult for the error contract; in brief: a kOverload
   /// error means the strand dispatch was bounced by kReject backpressure
   /// but the samples are ALREADY buffered — retry with an empty span
   /// (`Submit(id, {})`) until it succeeds; re-submitting the same samples
@@ -231,8 +234,11 @@ class SessionManager {
   void Drain();
 
   /// Zero-pads and processes a session's final partial chunk, if any.
-  /// Call after Drain with no concurrent Submit to this session. Returns
-  /// nullopt for a faulted session (its tail is part of the shed backlog).
+  /// Call after Drain with no concurrent Submit to this session: with no
+  /// strand in flight the buffer holds less than a chunk, and (batched)
+  /// the session's batcher lane is idle (NEC_CHECK — SessionQuiescent).
+  /// Returns nullopt for a faulted session (its tail is part of the shed
+  /// backlog).
   std::optional<audio::Waveform> Flush(SessionId id);
 
   /// Moves out everything the session produced so far (modulated shadow at
@@ -258,8 +264,9 @@ class SessionManager {
   void ResetSession(SessionId id);
 
   /// True when the session can be exported right now: no strand in
-  /// flight, empty inbox, and (in batched mode) no chunks pending or in
-  /// a running batch. With no concurrent Submit for this session,
+  /// flight, no full chunk buffered (only a partial tail, which travels in
+  /// the snapshot), and (in batched mode) no chunks pending or in a
+  /// running batch. With no concurrent Submit for this session,
   /// quiescence is stable once observed. Thread-safe.
   bool SessionQuiescent(SessionId id) const;
 
@@ -272,7 +279,8 @@ class SessionManager {
 
   /// Installs a migrated snapshot onto a freshly created (never
   /// submitted-to) session, making its future output bit-identical to
-  /// the exporting session having continued. NEC_CHECKs freshness.
+  /// the exporting session having continued. NEC_CHECKs freshness and a
+  /// tail shorter than one chunk (an exported tail always is).
   void RestoreSession(SessionId id, const SessionSnapshot& snapshot);
 
   RuntimeStatsSnapshot Stats() const;
@@ -306,19 +314,18 @@ class SessionManager {
           level(top_level) {}
 
     core::NecPipeline pipeline;
-    core::StreamingProcessor proc;  ///< strand-owned, see header comment
+    core::StreamingProcessor proc;  ///< its sample buffer: guarded by mu
     const SessionId id;             ///< fault-injection key + status
 
     std::mutex mu;
-    std::deque<float> inbox;   ///< guarded by mu
     /// Wire-carried trace flow id (kTraceContext) awaiting its chunk:
     /// consumed by the next chunk popped from this session's stream.
     /// Guarded by mu.
     std::uint64_t wire_flow = 0;
-    /// When the inbox last went empty → non-empty: the arrival time of the
-    /// oldest unconsumed samples, feeding end-to-end latency accounting on
-    /// the unbatched path. Guarded by mu.
-    std::chrono::steady_clock::time_point inbox_since{};
+    /// When the buffer last reached a full chunk: the readiness of the
+    /// oldest unpopped chunk, feeding end-to-end latency accounting on the
+    /// unbatched path. Guarded by mu.
+    std::chrono::steady_clock::time_point chunk_ready{};
     audio::Waveform output;    ///< guarded by mu
     /// When `output` last went empty → non-empty: production time of the
     /// oldest un-taken sample (reply-hop anchor). Guarded by mu.
@@ -338,7 +345,6 @@ class SessionManager {
 
   Session* GetSession(SessionId id) const;
   void RunStrand(Session* session);
-  void RunStrandBatched(Session* session);
   /// Batch callback; up to Options::workers run concurrently, always on
   /// disjoint session sets (lane exclusivity, see batcher.h).
   void RunBatch(std::vector<ContinuousBatcher::Item>&& items);
@@ -348,7 +354,7 @@ class SessionManager {
 
   /// Generates + completes one chunk at the session's current rung, with
   /// retry/backoff, the deadline watchdog, and recovery probes. `ready` is
-  /// when the chunk became processable (inbox arrival / batcher enqueue)
+  /// when the chunk became processable (chunk_ready / batcher enqueue)
   /// and anchors the end-to-end latency record. `flow` (0 = none) links
   /// the chunk's shard.compute span and flow-end back to a remote
   /// sender's trace. Returns false iff the session faulted. Runs on the
@@ -357,6 +363,14 @@ class SessionManager {
   bool ProcessOneChunk(Session* session, const audio::Waveform& chunk,
                        std::chrono::steady_clock::time_point ready,
                        std::uint64_t flow = 0);
+  /// Records one completed chunk and appends its modulated output: latency
+  /// stats (compute from `t0`, end to end from `ready`), the shard-compute
+  /// hop and trace span (from `t0_ns`, 0 = tracing off), and the watchdog
+  /// for the `level`/`probe` it ran at. Takes session->mu.
+  void EmitChunk(Session* session, const audio::Waveform& modulated,
+                 std::chrono::steady_clock::time_point ready,
+                 std::chrono::steady_clock::time_point t0, std::uint64_t t0_ns,
+                 std::uint64_t flow, DegradeLevel level, bool probe);
   /// Generates the shadow at `level` into `scratch.shadow`, using the
   /// single-chunk half of the calling thread's scratch — the
   /// zero-allocation strand path.
@@ -382,8 +396,8 @@ class SessionManager {
   void HandleGenerationError(Session* session, audio::Waveform chunk,
                              SessionError error,
                              std::chrono::steady_clock::time_point ready);
-  /// Records the fault, sheds the session's backlog (inbox + pending
-  /// batcher items), and returns it to a non-running state.
+  /// Records the fault, sheds the session's backlog (buffered samples +
+  /// pending batcher items), and returns it to a non-running state.
   void FaultSession(Session* session, SessionError error);
   /// Ladder step-down with stats. Caller holds session->mu.
   void StepDownLocked(Session* session);

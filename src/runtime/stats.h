@@ -138,11 +138,11 @@ struct RuntimeStatsSnapshot {
   std::size_t queue_depth = 0;  ///< pool queue depth at snapshot time
   LatencyQuantiles chunk_latency;  ///< per-chunk selector+broadcast wall ms
   HistogramSnapshot chunk_latency_hist;  ///< full buckets behind ^
-  /// End-to-end per-chunk latency: ready (inbox arrival / batcher
-  /// enqueue) → completion, queue wait INCLUDED. This is the honest
-  /// number to judge the 300 ms deadline against — `chunk_latency` above
-  /// is processing time only and can report a healthy p99 while chunks
-  /// rot in a queue for seconds.
+  /// End-to-end per-chunk latency: ready (the session's buffer reached a
+  /// full chunk / batcher enqueue) → completion, queue wait INCLUDED.
+  /// This is the honest number to judge the 300 ms deadline against —
+  /// `chunk_latency` above is processing time only and can report a
+  /// healthy p99 while chunks rot in a queue for seconds.
   LatencyQuantiles e2e_latency;
   HistogramSnapshot e2e_latency_hist;  ///< full buckets behind ^
 

@@ -141,7 +141,8 @@ std::vector<obs::MetricFamily> SnapshotToMetricFamilies(
                             "Chunks shadowed and modulated",
                             static_cast<double>(s.chunks_processed)));
   out.push_back(MakeCounter("nec_dispatches_total",
-                            "Strand tasks handed to the pool",
+                            "Strand tasks handed to the pool, one per "
+                            "backlog of ready chunks",
                             static_cast<double>(s.dispatches)));
   out.push_back(MakeCounter("nec_dispatch_rejections_total",
                             "Strand dispatches bounced by backpressure",

@@ -15,6 +15,10 @@
 //    1-worker SessionManager (unbatched and max_batch 2), a new session's
 //    first chunk allocates, beside its output, less than an eighth of one
 //    selector arena: it runs in the worker's scratch, not in its own.
+//  * the runtime path allocates only its output — a warm chunk served by
+//    Submit → Drain → TakeOutput on a 1-worker SessionManager allocates
+//    its modulated output and, batched, the popped chunk and the batch
+//    bookkeeping; the submitted samples are buffered once, in place.
 //  * disabled tracing ≤ 2 % of a chunk — the span sites one chunk passes
 //    through, times the measured cost of a disabled NEC_TRACE_SPAN site,
 //    must stay within 2 % of the measured chunk time; and a disabled site
@@ -236,11 +240,77 @@ TEST_F(HotPathTest, ANewSessionBorrowsTheWorkersChunkScratch) {
                 "%.3f MB beside its output (one selector arena: %.2f MB)\n",
                 max_batch, static_cast<double>(bytes) / 1e6,
                 static_cast<double>(arena_bytes) / 1e6);
-    // What the session itself must hold (inbox, sample buffer, resampler
-    // plan) stays small; any per-chunk buffer of its own (an arena, or a
+    // What the session itself must hold (sample buffer, resampler plan)
+    // stays small; any per-chunk buffer of its own (an arena, or a
     // modulated waveform as large as the output) would not fit.
     EXPECT_LT(bytes, arena_bytes / 8)
         << "the new session allocated per-chunk scratch of its own";
+  }
+}
+
+/// Heap allocations per warm chunk on the runtime's own path, measured
+/// over kMeasuredChunks chunks after kWarmupChunks.
+struct RuntimePathAllocs {
+  double count = 0.0;
+  double bytes = 0.0;
+  std::size_t output_bytes = 0;  ///< one chunk's modulated output
+};
+
+/// One session on a 1-worker SessionManager at `max_batch`; each chunk is
+/// a whole-chunk Submit, a Drain and a TakeOutput.
+RuntimePathAllocs RuntimeSubmitPathAllocs(
+    std::shared_ptr<const Selector> selector,
+    std::shared_ptr<const encoder::SpeakerEncoder> encoder,
+    const std::vector<audio::Waveform>& references,
+    const std::vector<audio::Waveform>& chunks, std::size_t max_batch) {
+  runtime::SessionManager manager(
+      std::move(selector), std::move(encoder), {},
+      {.workers = 1, .chunk_s = kChunkSeconds, .max_batch = max_batch});
+  const auto id = manager.CreateSession(references);
+  RuntimePathAllocs allocs;
+  const auto serve = [&](const audio::Waveform& chunk) {
+    EXPECT_TRUE(manager.Submit(id, chunk.samples()).ok());
+    manager.Drain();
+    allocs.output_bytes = manager.TakeOutput(id).size() * sizeof(float);
+    EXPECT_GT(allocs.output_bytes, 0u) << "the chunk was not served";
+  };
+  for (std::size_t c = 0; c < kWarmupChunks; ++c) serve(chunks[c]);
+  const std::uint64_t count0 = AllocCount();
+  const std::uint64_t bytes0 = AllocBytes();
+  for (std::size_t c = kWarmupChunks; c < chunks.size(); ++c) {
+    serve(chunks[c]);
+  }
+  const double n = static_cast<double>(chunks.size() - kWarmupChunks);
+  allocs.count = static_cast<double>(AllocCount() - count0) / n;
+  allocs.bytes = static_cast<double>(AllocBytes() - bytes0) / n;
+  return allocs;
+}
+
+TEST_F(HotPathTest, RuntimeSubmitPathAllocatesOnlyItsOutput) {
+  // The expected allocations of a warm chunk: its modulated output
+  // (TakeOutput hands that buffer to the caller, so the next chunk grows a
+  // fresh one) and, batched, the popped chunk that travels to the
+  // dispatcher plus the batcher's per-batch bookkeeping. Submitted
+  // samples are copied once, into the processor's buffer, whose capacity
+  // stays warm; a sample queue of the session's own would allocate a
+  // chunk's worth again.
+  const std::size_t chunk_bytes = chunks_[0].size() * sizeof(float);
+  for (const std::size_t max_batch : {std::size_t{1}, std::size_t{2}}) {
+    SCOPED_TRACE(testing::Message() << "max_batch " << max_batch);
+    const RuntimePathAllocs allocs = RuntimeSubmitPathAllocs(
+        selector_, encoder_, references_[0], chunks_, max_batch);
+    std::printf("max_batch %zu: %.2f allocations, %.1f KB per warm chunk "
+                "(output %.1f KB)\n",
+                max_batch, allocs.count, allocs.bytes / 1e3,
+                static_cast<double>(allocs.output_bytes) / 1e3);
+    // Measured 1 (unbatched) and 8 (batched) allocations per chunk; the
+    // slack covers a deque node of the pool queue or a batcher lane.
+    const bool batched = max_batch > 1;
+    EXPECT_LE(allocs.count, batched ? 10.0 : 1.5);
+    EXPECT_LE(allocs.bytes,
+              static_cast<double>(allocs.output_bytes +
+                                  (batched ? chunk_bytes : 0) + 4096))
+        << "beyond the output" << (batched ? " and the popped chunk" : "");
   }
 }
 

@@ -862,6 +862,98 @@ Frame MakeHello() {
   return hello;
 }
 
+TEST(NetServerE2E, RestoreWithAFullChunkTailIsRejectedAndTheShardServesOn) {
+  // An exporting shard ships only a partial tail. A restore whose tail
+  // holds a whole chunk would leave a session that no strand ever pops,
+  // so the shard refuses it as bad input and stays up: closing the
+  // refused id is a plain unknown-session error, and a restore at the
+  // boundary (one sample short of a chunk) still flushes and closes.
+  SharedModel model;
+  runtime::SessionManager manager(model.selector, model.encoder, {},
+                                  model.ManagerOptions());
+  NetServer server(&manager, {});
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+  const std::size_t chunk_samples = manager.chunk_samples();
+
+  const int fd = DialTcp("127.0.0.1", server.port(), 2000, &error);
+  ASSERT_GE(fd, 0) << error;
+  // One decoder for the whole exchange: a flush and its kClosed may
+  // arrive in one read.
+  FrameDecoder decoder;
+  const auto next = [&](Frame* out) {
+    std::uint8_t buf[4096];
+    for (int i = 0; i < 400; ++i) {
+      const DecodeStatus status = decoder.Next(out);
+      if (status != DecodeStatus::kNeedMore) return status == DecodeStatus::kOk;
+      const ssize_t r = ::recv(fd, buf, sizeof buf, 0);
+      if (r <= 0) return false;
+      decoder.Feed(buf, static_cast<std::size_t>(r));
+    }
+    return false;
+  };
+  const auto send_restore = [&](std::uint64_t wire_sid, std::size_t tail) {
+    SessionSnapshotPayload snap;
+    snap.speaker_seed = 42;
+    snap.ref_seed = 43;
+    snap.chunks_done = 1;
+    snap.tail.assign(tail, 0.25f);
+    Frame frame;
+    frame.type = FrameType::kRestoreSession;
+    frame.session_id = wire_sid;
+    PutSessionSnapshot(&frame.payload, snap);
+    return SendRawFrame(fd, frame);
+  };
+  const auto expect_bad_input = [&](std::uint64_t wire_sid,
+                                    const char* text) {
+    Frame reply;
+    ASSERT_TRUE(next(&reply));
+    ASSERT_EQ(reply.type, FrameType::kError);
+    EXPECT_EQ(reply.session_id, wire_sid);
+    PayloadReader reader(reply.payload);
+    std::uint32_t category = 0;
+    ASSERT_TRUE(reader.U32(&category));
+    EXPECT_EQ(category,
+              static_cast<std::uint32_t>(runtime::ErrorCategory::kBadInput));
+    EXPECT_NE(reader.RemainingText().find(text), std::string::npos)
+        << reader.RemainingText();
+  };
+  Frame close;
+  close.type = FrameType::kCloseSession;
+
+  Frame reply;
+  ASSERT_TRUE(SendRawFrame(fd, MakeHello()));
+  ASSERT_TRUE(next(&reply));
+  ASSERT_EQ(reply.type, FrameType::kHelloAck);
+
+  ASSERT_TRUE(send_restore(7, chunk_samples));
+  expect_bad_input(7, "full chunk");
+  close.session_id = 7;
+  ASSERT_TRUE(SendRawFrame(fd, close));
+  expect_bad_input(7, "unknown wire session id");
+
+  ASSERT_TRUE(send_restore(8, chunk_samples - 1));
+  ASSERT_TRUE(next(&reply));
+  ASSERT_EQ(reply.type, FrameType::kOpenAck);
+  close.session_id = 8;
+  ASSERT_TRUE(SendRawFrame(fd, close));
+  std::size_t shadow_bytes = 0;
+  for (;;) {
+    ASSERT_TRUE(next(&reply));
+    if (reply.type == FrameType::kClosed) break;
+    ASSERT_EQ(reply.type, FrameType::kShadowData);
+    shadow_bytes += reply.payload.size();
+  }
+  EXPECT_GT(shadow_bytes, 0u) << "the restored tail was not flushed";
+
+  const NetStatsSnapshot stats = server.StatsSnapshot();
+  EXPECT_EQ(stats.protocol_errors, 2u);
+  EXPECT_EQ(stats.sessions_opened, 1u);
+  EXPECT_EQ(stats.sessions_closed, 1u);
+  ::close(fd);
+  server.Stop();
+}
+
 TEST(NetAuthE2E, GoodSecretRoundTripsBitIdentically) {
   SharedModel model;
   runtime::SessionManager manager(model.selector, model.encoder, {},

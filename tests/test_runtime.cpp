@@ -8,6 +8,7 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -740,6 +741,55 @@ TEST_F(SessionManagerTest, BatchingNotEnabledForLasOrUnitBatch) {
                        .kind = core::SelectorKind::kNeural,
                        .max_batch = 1});
   EXPECT_FALSE(unit.batching_enabled());
+}
+
+TEST_F(SessionManagerTest, SubChunkSubmitsDispatchNoStrand) {
+  // Samples wait in the session's buffer until a full chunk is there: a
+  // capture-callback-sized piece that completes no chunk dispatches no
+  // strand, in either mode, and the output is still the sequential one.
+  // Each piece is drained before the next, as a live capture paced in
+  // real time would be: no strand is left running to absorb a piece.
+  constexpr std::size_t kChunks = 4;
+  constexpr std::size_t kPiece = 4000;
+  const auto spk = synth::SpeakerProfile::FromSeed(600);
+  const auto refs = builder_.MakeReferenceAudios(spk, 3, 610);
+  synth::DatasetBuilder long_builder({.duration_s = 4.5});
+  const audio::Waveform utterance = long_builder.MakeUtterance(spk, 620).wave;
+  const std::size_t chunk_n = static_cast<std::size_t>(cfg_.sample_rate);
+  const audio::Waveform stream = utterance.Slice(0, kChunks * chunk_n);
+
+  core::NecPipeline seq_pipeline(selector_, encoder_, {});
+  seq_pipeline.Enroll(refs);
+  core::StreamingProcessor seq(seq_pipeline, 1.0, core::SelectorKind::kNeural);
+  const std::optional<audio::Waveform> reference = seq.Push(stream.samples());
+  ASSERT_TRUE(reference.has_value());
+
+  for (const std::size_t max_batch : {std::size_t{1}, std::size_t{2}}) {
+    SCOPED_TRACE(testing::Message() << "max_batch " << max_batch);
+    SessionManager manager(selector_, encoder_, {},
+                           {.workers = 2,
+                            .chunk_s = 1.0,
+                            .kind = core::SelectorKind::kNeural,
+                            .max_batch = max_batch});
+    const auto id = manager.CreateSession(refs);
+    for (std::size_t pos = 0; pos < stream.size(); pos += kPiece) {
+      const std::size_t n = std::min(kPiece, stream.size() - pos);
+      EXPECT_TRUE(manager.Submit(id, stream.samples().subspan(pos, n)).ok());
+      manager.Drain();
+    }
+    const audio::Waveform out = manager.TakeOutput(id);
+    EXPECT_FALSE(manager.Flush(id).has_value());  // whole chunks only
+
+    const RuntimeStatsSnapshot stats = manager.Stats();
+    EXPECT_EQ(stats.chunks_processed, kChunks);
+    EXPECT_GE(stats.dispatches, 1u);
+    EXPECT_LE(stats.dispatches, stats.chunks_processed)
+        << (stream.size() + kPiece - 1) / kPiece << " submits";
+    ASSERT_EQ(out.size(), reference->size());
+    for (std::size_t k = 0; k < out.size(); ++k) {
+      ASSERT_EQ(out[k], (*reference)[k]) << "sample " << k;
+    }
+  }
 }
 
 TEST_F(SessionManagerTest, BatchedDropOldestEvictionStress) {

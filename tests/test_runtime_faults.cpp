@@ -14,6 +14,7 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "common/check.h"
@@ -607,6 +608,64 @@ TEST_F(RuntimeFaultTest, PoisonedBatchIsBisectedAroundTheVictim) {
   manager.Drain();
   EXPECT_EQ(manager.SessionStatus(victim).chunks_emitted, 1u);
   EXPECT_GT(manager.TakeOutput(victim).size(), 0u);
+}
+
+TEST_F(RuntimeFaultTest, BatchedCloseWaitsForTheLaneBeforeFlushing) {
+  // A closing stream's last chunk can still sit in its batcher lane after
+  // the strand has parked (state kIdle). Flush must refuse until the lane
+  // is idle — otherwise the tail would be emitted ahead of that chunk, and
+  // a fault on the dispatcher would shed the buffer under the flush. A
+  // close waits for SessionQuiescent, as the server does; here the lane's
+  // chunk faults, so the tail dies with it.
+  SessionManager manager(selector_, encoder_, {},
+                         {.workers = 1,
+                          .chunk_s = 1.0,
+                          .kind = core::SelectorKind::kNeural,
+                          .max_batch = 2,
+                          .deadline_ms = 10000.0});
+  ASSERT_TRUE(manager.batching_enabled());
+  const std::size_t chunk_n = manager.chunk_samples();
+
+  // A gate session pins the single dispatcher inside its batch, so the
+  // closing session's chunk waits in its lane.
+  const auto gate_spk = synth::SpeakerProfile::FromSeed(700);
+  const SessionManager::SessionId gate =
+      manager.CreateSession(builder_.MakeReferenceAudios(gate_spk, 3, 701));
+  const auto spk = synth::SpeakerProfile::FromSeed(710);
+  const SessionManager::SessionId id =
+      manager.CreateSession(builder_.MakeReferenceAudios(spk, 3, 711));
+  const audio::Waveform gate_chunk =
+      builder_.MakeUtterance(gate_spk, 702).wave.Slice(0, chunk_n);
+  const audio::Waveform stream =
+      builder_.MakeUtterance(spk, 712).wave.Slice(0, chunk_n + chunk_n / 2);
+  FaultInjector::Global().Arm("batch.item",
+                              {.kind = FaultInjector::Kind::kLatency,
+                               .latency_ms = 2000.0,
+                               .key = gate,
+                               .limit = 1});
+  FaultInjector::Global().Arm("batch.item",
+                              {.kind = FaultInjector::Kind::kThrow,
+                               .category = ErrorCategory::kInvariant,
+                               .key = id});
+
+  EXPECT_TRUE(manager.Submit(gate, gate_chunk.samples()).ok());
+  while (manager.Stats().batches_dispatched < 1) std::this_thread::yield();
+  EXPECT_TRUE(manager.Submit(id, stream.samples()).ok());
+  while (manager.SessionStatus(id).state == SessionState::kRunning) {
+    std::this_thread::yield();
+  }
+  // Strand parked, chunk pending in the lane behind the pinned dispatcher.
+  EXPECT_FALSE(manager.SessionQuiescent(id));
+  EXPECT_THROW(manager.Flush(id), CheckError);
+
+  while (!manager.SessionQuiescent(id)) std::this_thread::yield();
+  EXPECT_EQ(manager.SessionStatus(id).state, SessionState::kFaulted);
+  EXPECT_FALSE(manager.Flush(id).has_value());
+  EXPECT_EQ(manager.TakeOutput(id).size(), 0u);
+  // The fault shed the buffered half-chunk tail.
+  EXPECT_EQ(manager.Stats().samples_dropped, chunk_n / 2);
+  manager.Drain();
+  EXPECT_EQ(manager.SessionStatus(gate).chunks_emitted, 1u);
 }
 
 // -------------------------------------- ContinuousBatcher purge-under-fault
