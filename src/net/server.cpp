@@ -92,6 +92,10 @@ bool NetServer::Start(std::string* error) {
 void NetServer::Stop() {
   if (!thread_.joinable()) return;
   stop_.store(true, std::memory_order_relaxed);
+  // Wake the poll now rather than at its next tick.
+  const std::uint64_t one = 1;
+  [[maybe_unused]] const ssize_t n =
+      ::write(manager_->output_event_fd(), &one, sizeof one);
   thread_.join();
   for (auto& conn : connections_) CloseConnection(*conn, /*dropped=*/true);
   connections_.clear();
@@ -103,6 +107,8 @@ void NetServer::Serve() {
   while (!stop_.load(std::memory_order_relaxed)) {
     pfds.clear();
     pfds.push_back({listener_.fd(), POLLIN, 0});
+    pfds.push_back({manager_->output_event_fd(), POLLIN, 0});
+    constexpr std::size_t kFirstConn = 2;  // pfds slot of connections_[0]
     for (const auto& conn : connections_) {
       short events = POLLIN;
       if (conn->out_off < conn->outbound.size()) events |= POLLOUT;
@@ -115,14 +121,21 @@ void NetServer::Serve() {
     // first `polled` entries of connections_ have a matching pfds slot.
     // Indexing pfds past that reads garbage revents and kills healthy
     // brand-new connections.
-    const std::size_t polled = pfds.size() - 1;
+    const std::size_t polled = pfds.size() - kFirstConn;
     if (pfds[0].revents & POLLIN) AcceptPending();
+    if (pfds[1].revents & POLLIN) {
+      // Reset before pumping: output completing from here on wakes the
+      // next poll.
+      std::uint64_t count = 0;
+      [[maybe_unused]] const ssize_t n =
+          ::read(manager_->output_event_fd(), &count, sizeof count);
+    }
 
     const std::uint64_t now = NowMs();
     // Iterate by index: HandleFrame never mutates connections_.
     for (std::size_t i = 0; i < polled; ++i) {
       Connection& conn = *connections_[i];
-      const short revents = pfds[i + 1].revents;
+      const short revents = pfds[i + kFirstConn].revents;
       bool alive = true;
       if (revents & (POLLERR | POLLHUP | POLLNVAL)) {
         alive = false;

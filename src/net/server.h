@@ -45,8 +45,9 @@ class NetServer {
     std::string host = "127.0.0.1";
     int port = 0;  ///< 0 = ephemeral; see port() after Start()
     std::size_t max_connections = 1024;
-    /// Poll-loop tick: output pumping + overload nudges run at this
-    /// cadence even when no socket event fires.
+    /// Poll-loop tick: overload nudges, drains and closes progress at
+    /// this cadence even when no socket event fires. Completed output
+    /// does not wait for it: the manager's output eventfd wakes the loop.
     int tick_ms = 5;
     /// Connections with no inbound frames AND no open sessions for this
     /// long are dropped (a loadgen that died before opening anything).

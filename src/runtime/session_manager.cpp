@@ -1,5 +1,8 @@
 #include "runtime/session_manager.h"
 
+#include <sys/eventfd.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <chrono>
 #include <exception>
@@ -37,6 +40,13 @@ SessionError ClassifyCurrentException() {
   }
 }
 
+// Bumps an eventfd counter. A poller needs it only nonzero, so a failed
+// (saturated) write loses nothing.
+void Signal(int event_fd) {
+  const std::uint64_t one = 1;
+  [[maybe_unused]] const ssize_t n = ::write(event_fd, &one, sizeof one);
+}
+
 }  // namespace
 
 SessionManager::SessionManager(
@@ -47,10 +57,12 @@ SessionManager::SessionManager(
       pipeline_options_(pipeline_options),
       selector_(std::move(selector)),
       encoder_(std::move(encoder)),
+      output_event_fd_(::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC)),
       pool_(ThreadPool::Options{.workers = options.workers,
                                 .queue_capacity = options.queue_capacity,
                                 .policy = options.policy}) {
   NEC_CHECK(selector_ != nullptr && encoder_ != nullptr);
+  NEC_CHECK_MSG(output_event_fd_ >= 0, "eventfd failed");
   chunk_samples_ = static_cast<std::size_t>(
       options_.chunk_s * selector_->config().sample_rate);
   if (options_.max_batch > 1 &&
@@ -65,7 +77,10 @@ SessionManager::SessionManager(
   }
 }
 
-SessionManager::~SessionManager() { Shutdown(); }
+SessionManager::~SessionManager() {
+  Shutdown();  // no thread signals the eventfd after this
+  ::close(output_event_fd_);
+}
 
 void SessionManager::Shutdown() {
   // Pool first (no strand can Enqueue afterwards), then the batcher —
@@ -339,6 +354,7 @@ void SessionManager::EmitChunk(Session* s, const audio::Waveform& modulated,
   s->output.Append(modulated);
   ++s->chunk_count;
   UpdateWatchdogLocked(s, level, probe, total_ms);
+  Signal(output_event_fd_);
 }
 
 void SessionManager::RunBatch(std::vector<ContinuousBatcher::Item>&& items) {
@@ -517,6 +533,7 @@ void SessionManager::FaultSession(Session* s, SessionError error) {
   stats_.AddFault(category);
   stats_.AddSamplesDropped(shed);
   obs::TraceInstant("session.fault", s->id);
+  Signal(output_event_fd_);
 }
 
 void SessionManager::StepDownLocked(Session* s) {

@@ -251,6 +251,12 @@ class SessionManager {
       SessionId id,
       std::chrono::steady_clock::time_point* produced_since = nullptr);
 
+  /// An eventfd that turns readable whenever a session gains something to
+  /// report (a chunk's shadow appended to its output, or a fault) and
+  /// stays readable until read. One poll loop watches it to pump output as
+  /// a chunk completes rather than on its next tick. Owned by the manager.
+  int output_event_fd() const { return output_event_fd_; }
+
   /// One session's health: lifecycle state, recorded error (if faulted),
   /// current degradation rung, and lifetime counters. Thread-safe.
   runtime::SessionStatus SessionStatus(SessionId id) const;
@@ -413,6 +419,7 @@ class SessionManager {
   const core::PipelineOptions pipeline_options_;
   const std::shared_ptr<const core::Selector> selector_;
   const std::shared_ptr<const encoder::SpeakerEncoder> encoder_;
+  const int output_event_fd_;  ///< see output_event_fd()
   std::size_t chunk_samples_ = 0;
 
   mutable std::mutex sessions_mu_;

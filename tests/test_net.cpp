@@ -721,6 +721,53 @@ TEST(NetServerE2E, ServesBitIdenticalShadowsToInProcessManager) {
   server.Stop();
 }
 
+TEST(NetServerE2E, ShadowIsSentWhenItCompletesNotOnTheNextTick) {
+  // A tick far longer than the test's budget: only the manager's output
+  // listener can wake the poll loop between the submit and the shadow.
+  SharedModel model;
+  runtime::SessionManager manager(model.selector, model.encoder, {},
+                                  model.ManagerOptions());
+  NetServer::Options options;
+  options.tick_ms = 600000;
+  NetServer server(&manager, options);
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+
+  const std::size_t chunk_samples = manager.chunk_samples();
+  std::vector<float> stream = MakeStream(42, 99, 1.0);
+  stream.resize(chunk_samples, 0.0f);
+
+  NetClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port(), 2000, &error))
+      << error;
+  HelloInfo hello;
+  ASSERT_TRUE(client.Hello(&hello, 5000, &error)) << error;
+  ASSERT_TRUE(client.OpenSession(1, 42, 43, 10000, &error)) << error;
+  ASSERT_TRUE(client.SubmitChunk(1, stream, &error)) << error;
+
+  const std::size_t shadow_samples = chunk_samples *
+                                     hello.output_sample_rate /
+                                     hello.input_sample_rate;
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (client.session(1).shadow.size() < shadow_samples &&
+         std::chrono::steady_clock::now() < give_up) {
+    bool timed_out = false;
+    ASSERT_TRUE(client.PumpOnce(100, &timed_out, &error)) << error;
+  }
+  const std::vector<float> expected =
+      ExpectedShadow(model, 42, 43, stream, chunk_samples, 1);
+  ASSERT_EQ(client.session(1).shadow.size(), shadow_samples);
+  EXPECT_EQ(std::memcmp(client.session(1).shadow.data(), expected.data(),
+                        shadow_samples * sizeof(float)),
+            0);
+
+  // Close is handled on the frame's arrival; Stop wakes the loop itself.
+  ASSERT_TRUE(client.SendCloseSession(1, &error)) << error;
+  ASSERT_TRUE(client.WaitDone(1, 60000, &error)) << error;
+  server.Stop();
+}
+
 TEST(NetServerE2E, ServesLoadGenSessionsBitIdenticalOverSeveralConnections) {
   // One shard, no router: many sessions multiplexed over several
   // connections must each reproduce the in-process shadow.
