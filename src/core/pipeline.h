@@ -2,7 +2,9 @@
 // generation → ultrasonic broadcast.
 #pragma once
 
+#include <cstdint>
 #include <deque>
+#include <exception>
 #include <memory>
 #include <optional>
 #include <span>
@@ -40,6 +42,8 @@ struct ShadowScratch {
   Arena arena;
 };
 
+struct ShadowBatchRequest;
+
 /// All per-chunk working memory of one thread that computes chunks (a
 /// runtime pool worker, a batching dispatcher, or any caller of
 /// StreamingProcessor::ProcessChunkInto). A chunk needs it only while the
@@ -52,16 +56,23 @@ struct ShadowScratch {
 ///    popped chunk, baseband shadow and modulated output waveforms;
 ///  - batch: slot j holds item j's scratch and shadow. A std::deque, so
 ///    growing never moves a slot (ShadowScratch holds a non-movable
-///    Arena).
+///    Arena). The batch's bookkeeping (each item's route, the items in
+///    the batched forward and their requests) is kept here too, so a
+///    warm batch allocates none of it.
 struct ChunkScratch {
   struct Slot {
     ShadowScratch scratch;
     audio::Waveform shadow;
+    /// Set when the batched forward failed on this item alone.
+    std::exception_ptr error;
   };
 
   ShadowScratch single;
   audio::Waveform chunk, shadow, modulated;
   std::deque<Slot> slots;
+  std::vector<std::uint8_t> routes;  ///< per batch item, the owner's enum
+  std::vector<std::size_t> batched;  ///< slot j serves item batched[j]
+  std::vector<ShadowBatchRequest> requests;
 
   /// The calling thread's scratch, built on first use and freed when the
   /// thread exits. Never share the reference with another thread.

@@ -290,14 +290,8 @@ bool NetClient::WaitDone(std::uint64_t wire_sid, int timeout_ms,
 void NetClient::Dispatch(Frame&& frame) {
   switch (frame.type) {
     case FrameType::kHelloAck: {
-      PayloadReader reader(frame.payload);
       HelloInfo info;
-      if (reader.U32(&info.version) && reader.U32(&info.input_sample_rate) &&
-          reader.U32(&info.chunk_samples) &&
-          reader.U32(&info.output_sample_rate) &&
-          reader.U32(&info.output_samples_per_chunk)) {
-        hello_info_ = info;
-      }
+      if (ParseHelloAck(frame.payload, &info)) hello_info_ = info;
       return;
     }
     case FrameType::kOpenAck:

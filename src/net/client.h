@@ -21,17 +21,6 @@
 
 namespace nec::net {
 
-/// kHelloAck contents: negotiated version plus the shard's chunk
-/// geometry (input samples per chunk, and how many output samples each
-/// full chunk produces at the modulated air rate).
-struct HelloInfo {
-  std::uint32_t version = 0;
-  std::uint32_t input_sample_rate = 0;
-  std::uint32_t chunk_samples = 0;
-  std::uint32_t output_sample_rate = 0;
-  std::uint32_t output_samples_per_chunk = 0;
-};
-
 /// A kError frame recorded against a session (or the connection, for
 /// wire session id 0).
 struct WireError {

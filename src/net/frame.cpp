@@ -243,6 +243,23 @@ std::string PayloadReader::RemainingText() {
   return text;
 }
 
+void PutHelloAck(std::vector<std::uint8_t>* out, const HelloInfo& info) {
+  PutU32(out, info.version);
+  PutU32(out, info.input_sample_rate);
+  PutU32(out, info.chunk_samples);
+  PutU32(out, info.output_sample_rate);
+  PutU32(out, info.output_samples_per_chunk);
+}
+
+bool ParseHelloAck(std::span<const std::uint8_t> payload, HelloInfo* info) {
+  PayloadReader reader(payload);
+  return reader.U32(&info->version) &&
+         reader.U32(&info->input_sample_rate) &&
+         reader.U32(&info->chunk_samples) &&
+         reader.U32(&info->output_sample_rate) &&
+         reader.U32(&info->output_samples_per_chunk) && reader.complete();
+}
+
 void PutShardStatus(std::vector<std::uint8_t>* out,
                     const ShardStatusPayload& status) {
   PutU32(out, status.queue_depth);

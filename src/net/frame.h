@@ -198,7 +198,22 @@ class PayloadReader {
   bool ok_ = true;
 };
 
-// ------------------------------------------------ v2 payload schemas
+// --------------------------------------------------- payload schemas
+
+/// kHelloAck contents: negotiated version plus the server's chunk
+/// geometry (input samples per chunk, and how many output samples each
+/// full chunk produces at the modulated air rate).
+struct HelloInfo {
+  std::uint32_t version = 0;
+  std::uint32_t input_sample_rate = 0;
+  std::uint32_t chunk_samples = 0;
+  std::uint32_t output_sample_rate = 0;
+  std::uint32_t output_samples_per_chunk = 0;
+};
+
+void PutHelloAck(std::vector<std::uint8_t>* out, const HelloInfo& info);
+/// Strict parse: false on truncation or trailing bytes.
+bool ParseHelloAck(std::span<const std::uint8_t> payload, HelloInfo* info);
 
 /// kShardStatus: a shard's own view of its load, polled by the router's
 /// prober so admission control reacts before per-connection buffering

@@ -1,7 +1,6 @@
 #include "net/router.h"
 
 #include <poll.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -11,8 +10,8 @@
 #include <cstring>
 #include <unordered_map>
 
-#include "net/auth.h"
 #include "net/client.h"
+#include "net/conn.h"
 #include "obs/http.h"
 #include "obs/log.h"
 #include "obs/trace.h"
@@ -85,21 +84,14 @@ struct Router::ShardState {
 
 /// Router-side connection to one shard on behalf of ONE client
 /// connection (wire session ids are only unique per client).
-struct Router::Upstream {
-  int fd = -1;
-  FrameDecoder decoder;
-  std::string outbound;
-  std::size_t out_off = 0;
+struct Router::Upstream : FrameConn {
   /// When the oldest unflushed byte was enqueued (valid while the buffer
   /// is non-empty). FlushUpstream records the upstream_write hop from it
   /// once the buffer fully drains.
   std::chrono::steady_clock::time_point pending_since{};
-
-  bool connected() const { return fd >= 0; }
-  bool has_pending() const { return out_off < outbound.size(); }
 };
 
-struct Router::Connection {
+struct Router::Connection : ServerConn {
   /// One sticky session mid-reshard. Created when the router asks the
   /// old shard to drain the session; client frames arriving in the
   /// window are parked (encoded, in order) and flushed to the new shard
@@ -112,17 +104,8 @@ struct Router::Connection {
     std::string parked;              ///< encoded client frames, FIFO
   };
 
-  int fd = -1;
-  FrameDecoder decoder;
-  std::string outbound;
-  std::size_t out_off = 0;
-  bool close_after_write = false;
-  /// The client hung up (read EOF). With no session left open that is an
-  /// orderly close, not a drop.
-  bool peer_closed = false;
-  bool authed = false;      ///< v2 handshake done (or auth disabled)
-  bool challenged = false;  ///< kAuthChallenge outstanding
-  std::uint64_t nonce = 0;
+  using ServerConn::ServerConn;
+
   std::unordered_map<std::uint64_t, std::size_t> session_shard;  ///< sid → shard
   std::unordered_map<std::uint64_t, Migration> migrations;  ///< sid → reshard
   /// Flow id announced by the last kTraceContext per session, consumed by
@@ -134,6 +117,10 @@ struct Router::Connection {
   /// Poll-thread copy of each shard's up flag, used to detect down
   /// transitions that require faulting this connection's sessions.
   std::vector<bool> last_up;
+
+  bool sessions_open() const {
+    return !session_shard.empty() || !migrations.empty();
+  }
 };
 
 Router::Router(Options options) : options_(std::move(options)) {
@@ -183,7 +170,7 @@ void Router::Stop() {
   stop_.store(true, std::memory_order_relaxed);
   if (serve_thread_.joinable()) serve_thread_.join();
   if (probe_thread_.joinable()) probe_thread_.join();
-  for (auto& conn : connections_) CloseConnection(*conn, /*dropped=*/true);
+  for (auto& conn : connections_) conn->Close(/*dropped=*/true);
   connections_.clear();
   listener_.Close();
 }
@@ -302,7 +289,7 @@ void Router::ProbeStatus(ShardState& shard) {
 void Router::RefreshHelloCache() {
   {
     std::lock_guard<std::mutex> lock(hello_mutex_);
-    if (hello_payload_.has_value()) return;
+    if (hello_.has_value()) return;
   }
   for (const auto& shard : shards_) {
     if (!shard->up.load(std::memory_order_relaxed)) continue;
@@ -315,14 +302,8 @@ void Router::RefreshHelloCache() {
         !probe.Hello(&info, 2000, &error)) {
       continue;
     }
-    std::vector<std::uint8_t> payload;
-    PutU32(&payload, info.version);
-    PutU32(&payload, info.input_sample_rate);
-    PutU32(&payload, info.chunk_samples);
-    PutU32(&payload, info.output_sample_rate);
-    PutU32(&payload, info.output_samples_per_chunk);
     std::lock_guard<std::mutex> lock(hello_mutex_);
-    hello_payload_ = std::move(payload);
+    hello_ = info;
     return;
   }
 }
@@ -337,23 +318,35 @@ void Router::Serve() {
   };
   std::vector<struct pollfd> pfds;
   std::vector<Slot> slots;
+  // An orderly hang-up or a fatal reply written in full is not a drop
+  // (net_stats.h); a closed connection stays in connections_ until the
+  // sweep after the pass (which also closes its upstreams), so pfds
+  // slots keep lining up.
+  const auto reap = [this](Connection& conn) {
+    // Sessions the client left open no longer count on their shards.
+    for (const auto& [sid, shard_index] : conn.session_shard) {
+      shards_[shard_index]->sessions_active.fetch_sub(
+          1, std::memory_order_relaxed);
+    }
+    conn.Close(/*dropped=*/!conn.Orderly(conn.sessions_open()));
+  };
+  const auto sweep = [this] {
+    std::erase_if(connections_,
+                  [](const auto& conn) { return !conn->connected(); });
+  };
   while (!stop_.load(std::memory_order_relaxed)) {
     pfds.clear();
     slots.clear();
     pfds.push_back({listener_.fd(), POLLIN, 0});
     slots.push_back({0, 0});
     for (std::size_t c = 0; c < connections_.size(); ++c) {
-      Connection& conn = *connections_[c];
-      short events = POLLIN;
-      if (conn.out_off < conn.outbound.size()) events |= POLLOUT;
-      pfds.push_back({conn.fd, events, 0});
+      const Connection& conn = *connections_[c];
+      pfds.push_back({conn.fd, conn.poll_events(), 0});
       slots.push_back({c, shards_.size()});
       for (std::size_t s = 0; s < conn.upstreams.size(); ++s) {
         const Upstream& up = conn.upstreams[s];
         if (!up.connected()) continue;
-        short up_events = POLLIN;
-        if (up.out_off < up.outbound.size()) up_events |= POLLOUT;
-        pfds.push_back({up.fd, up_events, 0});
+        pfds.push_back({up.fd, up.poll_events(), 0});
         slots.push_back({c, s});
       }
     }
@@ -362,50 +355,39 @@ void Router::Serve() {
 
     if (pfds[0].revents & POLLIN) AcceptPending();
 
-    bool mutated = false;
-    for (std::size_t i = 1; i < pfds.size() && !mutated; ++i) {
+    for (std::size_t i = 1; i < pfds.size(); ++i) {
       const short revents = pfds[i].revents;
       if (revents == 0) continue;
       Connection& conn = *connections_[slots[i].conn_index];
+      if (!conn.connected()) continue;  // reaped earlier in this pass
+      const bool failed = (revents & (POLLERR | POLLHUP | POLLNVAL)) != 0;
       if (slots[i].shard_index == shards_.size()) {
-        bool alive = (revents & (POLLERR | POLLHUP | POLLNVAL)) == 0;
-        if (alive && (revents & POLLIN)) alive = ReadClient(conn);
-        if (!alive) {
-          // An orderly hang-up after every session closed is not a drop
-          // (net_stats.h: dropped = closed by error, timeout or us).
-          CloseConnection(conn, /*dropped=*/!conn.peer_closed ||
-                                    !conn.session_shard.empty() ||
-                                    !conn.migrations.empty());
-          connections_.erase(connections_.begin() +
-                             static_cast<std::ptrdiff_t>(slots[i].conn_index));
-          mutated = true;  // pfds indices are stale; repoll
-        }
-      } else {
-        const std::size_t s = slots[i].shard_index;
-        if ((revents & (POLLERR | POLLHUP | POLLNVAL)) != 0) {
-          NEC_LOG_WARN(kComponent, "upstream %s poll error (revents 0x%x)",
-                       shards_[s]->label.c_str(), revents);
-          FaultShardSessions(conn, s,
-                             "shard " + shards_[s]->label +
-                                 " connection lost");
-        } else if ((revents & POLLIN) && !ReadUpstream(conn, s)) {
-          NEC_LOG_WARN(kComponent, "upstream %s read failed (errno %d)",
-                       shards_[s]->label.c_str(), errno);
-          FaultShardSessions(conn, s,
-                             "shard " + shards_[s]->label +
-                                 " connection lost");
-        }
+        if (failed || ((revents & POLLIN) && !ReadClient(conn))) reap(conn);
+        continue;
       }
+      const std::size_t s = slots[i].shard_index;
+      if (!conn.upstreams[s].connected()) continue;
+      if (failed) {
+        NEC_LOG_WARN(kComponent, "upstream %s poll error (revents 0x%x)",
+                     shards_[s]->label.c_str(), revents);
+      } else if ((revents & POLLIN) && !ReadUpstream(conn, s)) {
+        NEC_LOG_WARN(kComponent, "upstream %s read failed (errno %d)",
+                     shards_[s]->label.c_str(), errno);
+      } else {
+        continue;
+      }
+      FaultShardSessions(conn, s,
+                         "shard " + shards_[s]->label + " connection lost");
     }
-    if (mutated) continue;
+    sweep();
 
     ApplyHealthTransitions();
     PumpDrains();
 
     // Flush both directions; a client that went away gets reaped here.
-    for (std::size_t c = 0; c < connections_.size(); ++c) {
-      Connection& conn = *connections_[c];
-      bool alive = FlushClient(conn);
+    for (auto& c : connections_) {
+      Connection& conn = *c;
+      const bool alive = conn.Flush(options_.max_outbound_bytes);
       if (alive) {
         for (std::size_t s = 0; s < conn.upstreams.size(); ++s) {
           if (conn.upstreams[s].connected() && !FlushUpstream(conn, s)) {
@@ -415,17 +397,9 @@ void Router::Serve() {
           }
         }
       }
-      if (alive && conn.close_after_write &&
-          conn.out_off >= conn.outbound.size()) {
-        alive = false;
-      }
-      if (!alive) {
-        CloseConnection(conn, /*dropped=*/!conn.close_after_write);
-        connections_.erase(connections_.begin() +
-                           static_cast<std::ptrdiff_t>(c));
-        --c;
-      }
+      if (!alive || conn.fatal_reply_sent()) reap(conn);
     }
+    sweep();
   }
 }
 
@@ -437,10 +411,9 @@ void Router::AcceptPending() {
       ::close(fd);
       continue;
     }
-    auto conn = std::make_unique<Connection>();
-    conn->fd = fd;
-    conn->authed = options_.secret.empty();
-    conn->upstreams.resize(shards_.size());
+    auto conn =
+        std::make_unique<Connection>(fd, stats_, options_.secret.empty());
+    conn->upstreams = std::vector<Upstream>(shards_.size());
     conn->last_up.resize(shards_.size());
     for (std::size_t s = 0; s < shards_.size(); ++s) {
       conn->last_up[s] = shards_[s]->up.load(std::memory_order_relaxed);
@@ -453,119 +426,24 @@ void Router::AcceptPending() {
 bool Router::ReadClient(Connection& conn) {
   const std::chrono::steady_clock::time_point received =
       std::chrono::steady_clock::now();
-  std::uint8_t buf[64 * 1024];
-  for (;;) {
-    const ssize_t n = ::recv(conn.fd, buf, sizeof buf, 0);
-    if (n == 0) {
-      conn.peer_closed = true;
-      return false;
-    }
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-      return false;
-    }
-    stats_.AddBytesIn(static_cast<std::uint64_t>(n));
-    conn.decoder.Feed(buf, static_cast<std::size_t>(n));
-    if (static_cast<std::size_t>(n) < sizeof buf) break;
-  }
-  Frame frame;
-  for (;;) {
-    const DecodeStatus status = conn.decoder.Next(&frame);
-    if (status == DecodeStatus::kNeedMore) return true;
-    if (IsDecodeError(status)) {
-      stats_.AddDecodeError();
-      SendErrorToClient(
-          conn, 0,
-          static_cast<std::uint32_t>(runtime::ErrorCategory::kBadInput),
-          std::string("malformed frame: ") + DecodeStatusName(status));
-      conn.close_after_write = true;
-      return true;
-    }
-    stats_.AddFrameIn();
-    if (!HandleClientFrame(conn, std::move(frame), received)) return false;
-  }
+  return conn.ReadFrames([&](Frame&& frame) {
+    HandleClientFrame(conn, std::move(frame), received);
+  });
 }
 
-bool Router::HandleClientFrame(Connection& conn, Frame&& frame,
+void Router::HandleClientFrame(Connection& conn, Frame&& frame,
                                std::chrono::steady_clock::time_point received) {
-  // Pre-auth gate: until the challenge–response completes, the only
-  // frames a client may send are kHello and kAuthResponse. Anything else
-  // is an unauthenticated probe and closes the connection.
-  if (!conn.authed && frame.type != FrameType::kHello &&
-      frame.type != FrameType::kAuthResponse) {
-    RejectClientAuth(conn, std::string("unauthenticated ") +
-                               FrameTypeName(frame.type) + " frame");
-    return true;
-  }
+  const Admission admission = conn.Admit(frame, options_.secret);
+  if (admission == Admission::kAckHello) SendHelloAck(conn);
+  if (admission != Admission::kPass) return;
   switch (frame.type) {
-    case FrameType::kHello: {
-      PayloadReader reader(frame.payload);
-      std::uint32_t min_ver = 0;
-      std::uint32_t max_ver = 0;
-      if (!reader.U32(&min_ver) || !reader.U32(&max_ver) ||
-          !reader.complete() || min_ver > kProtocolVersion ||
-          max_ver < kProtocolVersion) {
-        stats_.AddProtocolError();
-        SendErrorToClient(
-            conn, 0,
-            static_cast<std::uint32_t>(runtime::ErrorCategory::kBadInput),
-            "bad hello (payload or unsupported version)");
-        return true;
-      }
-      if (!conn.authed) {
-        // Fresh nonce per challenge: a replayed tag from another
-        // connection (or an earlier challenge here) never verifies.
-        conn.nonce = RandomNonce();
-        conn.challenged = true;
-        Frame challenge;
-        challenge.type = FrameType::kAuthChallenge;
-        PutU64(&challenge.payload, conn.nonce);
-        SendToClient(conn, challenge);
-        return true;
-      }
-      SendHelloAck(conn);
-      return true;
-    }
-
-    case FrameType::kAuthResponse: {
-      if (conn.authed) {
-        stats_.AddProtocolError();
-        SendErrorToClient(
-            conn, 0,
-            static_cast<std::uint32_t>(runtime::ErrorCategory::kBadInput),
-            "auth response on an authenticated connection");
-        return true;
-      }
-      if (!conn.challenged) {
-        RejectClientAuth(conn, "auth response without an outstanding challenge");
-        return true;
-      }
-      // One verification attempt per challenge, pass or fail.
-      conn.challenged = false;
-      PayloadReader reader(frame.payload);
-      std::uint64_t tag = 0;
-      if (!reader.U64(&tag) || !reader.complete()) {
-        RejectClientAuth(conn, "malformed auth response payload");
-        return true;
-      }
-      if (tag != AuthTag(options_.secret, conn.nonce)) {
-        RejectClientAuth(conn, "auth tag mismatch");
-        return true;
-      }
-      conn.authed = true;
-      stats_.AddAuthOk();
-      SendHelloAck(conn);
-      return true;
-    }
-
     case FrameType::kPing: {
       Frame pong;
       pong.type = FrameType::kPong;
       pong.session_id = frame.session_id;
       pong.payload = std::move(frame.payload);
-      SendToClient(conn, pong);
-      return true;
+      conn.Send(pong);
+      return;
     }
 
     case FrameType::kOpenSession: {
@@ -582,35 +460,31 @@ bool Router::HandleClientFrame(Connection& conn, Frame&& frame,
           // cannot absorb it.
           if (all_saturated) {
             stats_.AddOverloadShed();
-            SendErrorToClient(
-                conn, frame.session_id,
-                static_cast<std::uint32_t>(runtime::ErrorCategory::kOverload),
-                "fleet saturated: every live shard is at capacity");
+            conn.SendError(frame.session_id,
+                           runtime::ErrorCategory::kOverload,
+                           "fleet saturated: every live shard is at capacity");
           } else {
             stats_.AddProtocolError();
-            SendErrorToClient(
-                conn, frame.session_id,
-                static_cast<std::uint32_t>(runtime::ErrorCategory::kOverload),
-                "no healthy shards");
+            conn.SendError(frame.session_id,
+                           runtime::ErrorCategory::kOverload,
+                           "no healthy shards");
           }
-          return true;
+          return;
         }
         shard_index = *picked;
         if (!EnsureUpstream(conn, shard_index)) {
-          SendErrorToClient(
-              conn, frame.session_id,
-              static_cast<std::uint32_t>(runtime::ErrorCategory::kOverload),
+          conn.SendError(
+              frame.session_id, runtime::ErrorCategory::kOverload,
               "shard " + shards_[shard_index]->label + " unreachable");
-          return true;
+          return;
         }
         const Upstream& up = conn.upstreams[shard_index];
-        if (up.outbound.size() - up.out_off > options_.admission_backlog_bytes) {
+        if (up.pending_bytes() > options_.admission_backlog_bytes) {
           stats_.AddOverloadShed();
-          SendErrorToClient(
-              conn, frame.session_id,
-              static_cast<std::uint32_t>(runtime::ErrorCategory::kOverload),
+          conn.SendError(
+              frame.session_id, runtime::ErrorCategory::kOverload,
               "shard " + shards_[shard_index]->label + " backlog full");
-          return true;
+          return;
         }
         conn.session_shard.emplace(frame.session_id, shard_index);
         shards_[shard_index]->sessions_active.fetch_add(
@@ -620,7 +494,7 @@ bool Router::HandleClientFrame(Connection& conn, Frame&& frame,
         stats_.AddSessionOpened();
       }
       ForwardToShard(conn, shard_index, frame);
-      return true;
+      return;
     }
 
     case FrameType::kTraceContext: {
@@ -631,7 +505,7 @@ bool Router::HandleClientFrame(Connection& conn, Frame&& frame,
       // the stream (§5g). The flow id is also stashed locally so the
       // router.forward span for the next submit joins the client's flow.
       const auto it = conn.session_shard.find(frame.session_id);
-      if (it == conn.session_shard.end()) return true;
+      if (it == conn.session_shard.end()) return;
       PayloadReader reader(frame.payload);
       std::uint64_t flow = 0;
       if (reader.U64(&flow) && reader.complete() && flow != 0) {
@@ -640,10 +514,10 @@ bool Router::HandleClientFrame(Connection& conn, Frame&& frame,
       const auto mig = conn.migrations.find(frame.session_id);
       if (mig != conn.migrations.end()) {
         EncodeFrame(frame, &mig->second.parked);
-        return true;
+        return;
       }
       ForwardToShard(conn, it->second, frame);
-      return true;
+      return;
     }
 
     case FrameType::kSubmitChunk:
@@ -651,11 +525,9 @@ bool Router::HandleClientFrame(Connection& conn, Frame&& frame,
       const auto it = conn.session_shard.find(frame.session_id);
       if (it == conn.session_shard.end()) {
         stats_.AddProtocolError();
-        SendErrorToClient(
-            conn, frame.session_id,
-            static_cast<std::uint32_t>(runtime::ErrorCategory::kBadInput),
-            "unknown wire session id");
-        return true;
+        conn.SendError(frame.session_id, runtime::ErrorCategory::kBadInput,
+                       "unknown wire session id");
+        return;
       }
       const auto mig = conn.migrations.find(frame.session_id);
       if (mig != conn.migrations.end()) {
@@ -668,7 +540,7 @@ bool Router::HandleClientFrame(Connection& conn, Frame&& frame,
           FaultMigration(conn, frame.session_id,
                          "reshard stalled: parked backlog full");
         }
-        return true;
+        return;
       }
       ForwardToShard(conn, it->second, frame);
       if (frame.type == FrameType::kSubmitChunk) {
@@ -694,83 +566,74 @@ bool Router::HandleClientFrame(Connection& conn, Frame&& frame,
                          dur_ns, flow, frame.session_id);
         }
       }
-      return true;
+      return;
     }
 
     default:
       stats_.AddProtocolError();
-      SendErrorToClient(
-          conn, frame.session_id,
-          static_cast<std::uint32_t>(runtime::ErrorCategory::kBadInput),
+      conn.SendError(
+          frame.session_id, runtime::ErrorCategory::kBadInput,
           std::string("unexpected frame type: ") + FrameTypeName(frame.type));
-      return true;
+      return;
   }
 }
 
 bool Router::ReadUpstream(Connection& conn, std::size_t shard_index) {
-  Upstream& up = conn.upstreams[shard_index];
-  std::uint8_t buf[64 * 1024];
-  for (;;) {
-    const ssize_t n = ::recv(up.fd, buf, sizeof buf, 0);
-    if (n == 0) return false;
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-      return false;
-    }
-    up.decoder.Feed(buf, static_cast<std::size_t>(n));
-    if (static_cast<std::size_t>(n) < sizeof buf) break;
+  DecodeStatus malformed = DecodeStatus::kOk;
+  const bool open = conn.upstreams[shard_index].ReadFrames(
+      [&](Frame&& frame) {
+        HandleShardFrame(conn, shard_index, std::move(frame));
+      },
+      &malformed);
+  if (malformed != DecodeStatus::kOk) {
+    NEC_LOG_WARN(kComponent, "shard %s sent malformed frame: %s",
+                 shards_[shard_index]->label.c_str(),
+                 DecodeStatusName(malformed));
   }
-  Frame frame;
-  for (;;) {
-    const DecodeStatus status = up.decoder.Next(&frame);
-    if (status == DecodeStatus::kNeedMore) return true;
-    if (IsDecodeError(status)) {
-      NEC_LOG_WARN(kComponent, "shard %s sent malformed frame: %s",
-                   shards_[shard_index]->label.c_str(),
-                   DecodeStatusName(status));
-      return false;
+  return open;
+}
+
+void Router::HandleShardFrame(Connection& conn, std::size_t shard_index,
+                              Frame&& frame) {
+  // A draining shard hands the router the session's full stream state
+  // once quiescent; route it to a survivor instead of the client.
+  if (frame.type == FrameType::kSessionSnapshot) {
+    HandleSessionSnapshot(conn, shard_index, std::move(frame));
+    return;
+  }
+  // The restore ack for a migrated session is router-internal — the
+  // client already holds its open ack from the original placement.
+  if (frame.type == FrameType::kOpenAck) {
+    const auto mig = conn.migrations.find(frame.session_id);
+    if (mig != conn.migrations.end() && mig->second.target == shard_index) {
+      Upstream& target_up = conn.upstreams[shard_index];
+      if (!target_up.has_pending() && !mig->second.parked.empty()) {
+        target_up.pending_since = std::chrono::steady_clock::now();
+      }
+      target_up.outbound += mig->second.parked;
+      shards_[mig->second.from_shard]->sessions_migrated.fetch_add(
+          1, std::memory_order_relaxed);
+      stats_.AddSessionMigrated();
+      conn.migrations.erase(mig);
+      return;
     }
-    // A draining shard hands the router the session's full stream state
-    // once quiescent; route it to a survivor instead of the client.
-    if (frame.type == FrameType::kSessionSnapshot) {
-      HandleSessionSnapshot(conn, shard_index, std::move(frame));
-      continue;
-    }
-    // The restore ack for a migrated session is router-internal — the
-    // client already holds its open ack from the original placement.
-    if (frame.type == FrameType::kOpenAck) {
-      const auto mig = conn.migrations.find(frame.session_id);
-      if (mig != conn.migrations.end() && mig->second.target == shard_index) {
-        Upstream& target_up = conn.upstreams[shard_index];
-        if (!target_up.has_pending() && !mig->second.parked.empty()) {
-          target_up.pending_since = std::chrono::steady_clock::now();
-        }
-        target_up.outbound += mig->second.parked;
-        shards_[mig->second.from_shard]->sessions_migrated.fetch_add(
-            1, std::memory_order_relaxed);
-        stats_.AddSessionMigrated();
-        conn.migrations.erase(mig);
-        continue;
+  }
+  // Terminal frames release the sticky assignment.
+  if (frame.session_id != 0 &&
+      (frame.type == FrameType::kClosed || frame.type == FrameType::kError)) {
+    if (conn.session_shard.erase(frame.session_id) > 0) {
+      shards_[shard_index]->sessions_active.fetch_sub(
+          1, std::memory_order_relaxed);
+      if (frame.type == FrameType::kClosed) {
+        stats_.AddSessionClosed();
+      } else {
+        stats_.AddSessionFaulted();
       }
     }
-    // Terminal frames release the sticky assignment.
-    if (frame.session_id != 0 &&
-        (frame.type == FrameType::kClosed || frame.type == FrameType::kError)) {
-      if (conn.session_shard.erase(frame.session_id) > 0) {
-        shards_[shard_index]->sessions_active.fetch_sub(
-            1, std::memory_order_relaxed);
-        if (frame.type == FrameType::kClosed) {
-          stats_.AddSessionClosed();
-        } else {
-          stats_.AddSessionFaulted();
-        }
-      }
-      conn.migrations.erase(frame.session_id);
-      conn.pending_flow.erase(frame.session_id);
-    }
-    SendToClient(conn, frame);
+    conn.migrations.erase(frame.session_id);
+    conn.pending_flow.erase(frame.session_id);
   }
+  conn.Send(frame);
 }
 
 std::optional<std::size_t> Router::PickShard(std::uint64_t wire_sid,
@@ -846,9 +709,6 @@ bool Router::EnsureUpstream(Connection& conn, std::size_t shard_index) {
   }
   SetNonBlocking(fd, true);
   up.fd = fd;
-  up.decoder.Reset();
-  up.outbound.clear();
-  up.out_off = 0;
   return true;
 }
 
@@ -867,9 +727,7 @@ void Router::FaultMigration(Connection& conn, std::uint64_t wire_sid,
     close.session_id = wire_sid;
     ForwardToShard(conn, mig.target, close);
   }
-  SendErrorToClient(
-      conn, wire_sid,
-      static_cast<std::uint32_t>(runtime::ErrorCategory::kOverload), why);
+  conn.SendError(wire_sid, runtime::ErrorCategory::kOverload, why);
   stats_.AddSessionFaulted();
   const auto sit = conn.session_shard.find(wire_sid);
   if (sit != conn.session_shard.end()) {
@@ -884,23 +742,13 @@ void Router::FaultMigration(Connection& conn, std::uint64_t wire_sid,
 
 void Router::FaultShardSessions(Connection& conn, std::size_t shard_index,
                                 const std::string& why) {
-  Upstream& up = conn.upstreams[shard_index];
-  if (up.connected()) {
-    ::close(up.fd);
-    up.fd = -1;
-    up.decoder.Reset();
-    up.outbound.clear();
-    up.out_off = 0;
-  }
+  conn.upstreams[shard_index].Close();
   // Every session pinned to this shard is unrecoverable: the shard-side
   // SessionManager state is gone. Same taxonomy as an in-process
   // invariant fault, one level up.
   for (auto it = conn.session_shard.begin(); it != conn.session_shard.end();) {
     if (it->second == shard_index) {
-      SendErrorToClient(
-          conn, it->first,
-          static_cast<std::uint32_t>(runtime::ErrorCategory::kInvariant),
-          why);
+      conn.SendError(it->first, runtime::ErrorCategory::kInvariant, why);
       stats_.AddSessionFaulted();
       shards_[shard_index]->sessions_active.fetch_sub(
           1, std::memory_order_relaxed);
@@ -1011,10 +859,8 @@ void Router::HandleSessionSnapshot(Connection& conn, std::size_t from_shard,
   if (!target.has_value() || !EnsureUpstream(conn, *target)) {
     // No survivor can absorb the session; this is the one drain path
     // that faults, and only because the fleet has nowhere to put it.
-    SendErrorToClient(
-        conn, sid,
-        static_cast<std::uint32_t>(runtime::ErrorCategory::kInvariant),
-        "no shard available to absorb drained session");
+    conn.SendError(sid, runtime::ErrorCategory::kInvariant,
+                   "no shard available to absorb drained session");
     stats_.AddSessionFaulted();
     shards_[from_shard]->sessions_active.fetch_sub(1,
                                                    std::memory_order_relaxed);
@@ -1050,136 +896,42 @@ void Router::ApplyHealthTransitions() {
   }
 }
 
-void Router::SendToClient(Connection& conn, const Frame& frame) {
-  EncodeFrame(frame, &conn.outbound);
-  stats_.AddFrameOut();
-}
-
-void Router::RejectClientAuth(Connection& conn, const std::string& message) {
-  stats_.AddAuthRejected();
-  NEC_LOG_WARN(kComponent, "auth reject fd %d: %s", conn.fd, message.c_str());
-  Frame frame;
-  frame.type = FrameType::kAuthReject;
-  frame.session_id = 0;
-  PutU32(&frame.payload, static_cast<std::uint32_t>(
-                             runtime::ErrorCategory::kAuthRejected));
-  frame.payload.insert(frame.payload.end(), message.begin(), message.end());
-  SendToClient(conn, frame);
-  conn.close_after_write = true;
-}
-
 void Router::SendHelloAck(Connection& conn) {
-  std::optional<std::vector<std::uint8_t>> cached;
+  std::optional<HelloInfo> cached;
   {
     std::lock_guard<std::mutex> lock(hello_mutex_);
-    cached = hello_payload_;
+    cached = hello_;
   }
   if (!cached.has_value()) {
     // No shard has ever answered; the fleet is effectively down.
     stats_.AddProtocolError();
-    SendErrorToClient(
-        conn, 0,
-        static_cast<std::uint32_t>(runtime::ErrorCategory::kOverload),
-        "no healthy shards");
+    conn.SendError(0, runtime::ErrorCategory::kOverload, "no healthy shards");
     return;
   }
   Frame ack;
   ack.type = FrameType::kHelloAck;
-  ack.payload = std::move(*cached);
-  SendToClient(conn, ack);
-}
-
-void Router::SendErrorToClient(Connection& conn, std::uint64_t wire_sid,
-                               std::uint32_t category,
-                               const std::string& message) {
-  Frame frame;
-  frame.type = FrameType::kError;
-  frame.session_id = wire_sid;
-  PutU32(&frame.payload, category);
-  frame.payload.insert(frame.payload.end(), message.begin(), message.end());
-  SendToClient(conn, frame);
-}
-
-namespace {
-
-/// Shared nonblocking-flush helper for both directions.
-bool FlushBuffer(int fd, std::string* buffer, std::size_t* offset,
-                 std::uint64_t* bytes_out) {
-  while (*offset < buffer->size()) {
-    const ssize_t n = ::send(fd, buffer->data() + *offset,
-                             buffer->size() - *offset,
-#if defined(MSG_NOSIGNAL)
-                             MSG_NOSIGNAL
-#else
-                             0
-#endif
-    );
-    if (n > 0) {
-      *offset += static_cast<std::size_t>(n);
-      if (bytes_out != nullptr) *bytes_out += static_cast<std::uint64_t>(n);
-      continue;
-    }
-    if (n < 0 && errno == EINTR) continue;
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-    return false;
-  }
-  if (*offset == buffer->size()) {
-    buffer->clear();
-    *offset = 0;
-  } else if (*offset > (1u << 20)) {
-    buffer->erase(0, *offset);
-    *offset = 0;
-  }
-  return true;
-}
-
-}  // namespace
-
-bool Router::FlushClient(Connection& conn) {
-  std::uint64_t bytes = 0;
-  const bool ok = FlushBuffer(conn.fd, &conn.outbound, &conn.out_off, &bytes);
-  if (bytes > 0) stats_.AddBytesOut(bytes);
-  if (!ok) return false;
-  if (conn.outbound.size() - conn.out_off > options_.max_outbound_bytes) {
-    NEC_LOG_WARN(kComponent,
-                 "dropping client fd %d: not reading (%zu bytes pending)",
-                 conn.fd, conn.outbound.size() - conn.out_off);
-    return false;
-  }
-  return true;
+  PutHelloAck(&ack.payload, *cached);
+  conn.Send(ack);
 }
 
 void Router::ForwardToShard(Connection& conn, std::size_t shard_index,
                             const Frame& frame) {
   Upstream& up = conn.upstreams[shard_index];
   if (!up.has_pending()) up.pending_since = std::chrono::steady_clock::now();
-  EncodeFrame(frame, &up.outbound);
+  up.Send(frame);
 }
 
 bool Router::FlushUpstream(Connection& conn, std::size_t shard_index) {
   Upstream& up = conn.upstreams[shard_index];
   const bool had_pending = up.has_pending();
-  if (!FlushBuffer(up.fd, &up.outbound, &up.out_off, nullptr)) return false;
-  if (had_pending && !up.has_pending()) {
+  const bool ok = up.Flush(options_.max_outbound_bytes);
+  if (ok && had_pending && !up.has_pending()) {
     // upstream_write hop: oldest enqueued byte → buffer fully drained to
     // the shard socket. Grows under write-side backpressure.
     runtime::HopStats::Global().Record(runtime::Hop::kUpstreamWrite,
                                        MsSince(up.pending_since));
   }
-  return up.outbound.size() - up.out_off <= options_.max_outbound_bytes;
-}
-
-void Router::CloseConnection(Connection& conn, bool dropped) {
-  if (conn.fd < 0) return;
-  ::close(conn.fd);
-  conn.fd = -1;
-  for (Upstream& up : conn.upstreams) {
-    if (up.connected()) {
-      ::close(up.fd);
-      up.fd = -1;
-    }
-  }
-  stats_.AddClosed(dropped);
+  return ok;
 }
 
 std::vector<RouterShardStatus> Router::ShardStatuses() const {

@@ -22,6 +22,13 @@
 // Upstream connections are per (client connection, shard): client wire
 // session ids are only unique per client connection, and keeping the
 // pairing 1:1 means the shard sees exactly the id space the client chose.
+//
+// Both faces are written once in net/conn.h: a client connection is a
+// net::ServerConn (the shard's buffered frame connection and v2 handshake
+// gate; the router's kHelloAck carries a shard's cached HelloInfo), an
+// upstream a net::FrameConn. The router counts bytes and frames only on
+// its client face, and a shard stream that stops framing faults that
+// shard's sessions instead of drawing a kError.
 #pragma once
 
 #include <atomic>
@@ -141,7 +148,7 @@ class Router {
   /// Polls the shard's load over the wire (kStatusRequest) and runs the
   /// saturation hysteresis. Prober thread only.
   void ProbeStatus(ShardState& shard);
-  /// Fetches + caches a kHelloAck payload from any live shard so the
+  /// Fetches + caches a shard's HelloInfo from any live shard so the
   /// router can answer client kHello itself.
   void RefreshHelloCache();
 
@@ -149,9 +156,13 @@ class Router {
   bool ReadClient(Connection& conn);
   /// `received` is when the bytes carrying this frame came off the client
   /// socket — the start of the router_queue hop for submit frames.
-  bool HandleClientFrame(Connection& conn, Frame&& frame,
+  void HandleClientFrame(Connection& conn, Frame&& frame,
                          std::chrono::steady_clock::time_point received);
   bool ReadUpstream(Connection& conn, std::size_t shard_index);
+  /// Routes one shard frame: snapshots and restore acks stay inside the
+  /// router, everything else goes to the client.
+  void HandleShardFrame(Connection& conn, std::size_t shard_index,
+                        Frame&& frame);
   /// Encodes `frame` onto the shard's outbound buffer, stamping
   /// `pending_since` when the buffer transitions empty → non-empty (the
   /// start of the upstream_write hop closed by FlushUpstream).
@@ -174,8 +185,6 @@ class Router {
   /// Sends kDrainSession for every session still pinned to a draining
   /// shard and flips shards to `drained` once nothing references them.
   void PumpDrains();
-  /// kAuthReject to a client + counter + close-after-write.
-  void RejectClientAuth(Connection& conn, const std::string& message);
   /// Replies with the cached kHelloAck (or kError(kOverload) when no
   /// shard has ever answered).
   void SendHelloAck(Connection& conn);
@@ -190,12 +199,7 @@ class Router {
   /// Applies prober ejections to live connections (poll thread only).
   void ApplyHealthTransitions();
 
-  void SendToClient(Connection& conn, const Frame& frame);
-  void SendErrorToClient(Connection& conn, std::uint64_t wire_sid,
-                         std::uint32_t category, const std::string& message);
-  bool FlushClient(Connection& conn);
   bool FlushUpstream(Connection& conn, std::size_t shard_index);
-  void CloseConnection(Connection& conn, bool dropped);
 
   const Options options_;
   NetStats stats_;
@@ -206,7 +210,7 @@ class Router {
   std::vector<std::pair<std::uint64_t, std::size_t>> ring_;
 
   mutable std::mutex hello_mutex_;
-  std::optional<std::vector<std::uint8_t>> hello_payload_;
+  std::optional<HelloInfo> hello_;
 
   std::thread serve_thread_;
   std::thread probe_thread_;

@@ -1,16 +1,14 @@
 #include "net/server.h"
 
 #include <poll.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <bit>
 #include <cerrno>
 #include <chrono>
-#include <cstring>
 #include <utility>
 
-#include "net/auth.h"
+#include "net/conn.h"
 #include "obs/log.h"
 #include "obs/trace.h"
 #include "runtime/stats.h"
@@ -50,19 +48,10 @@ struct NetServer::WireSession {
   std::uint64_t reply_flow = 0;
 };
 
-struct NetServer::Connection {
-  int fd = -1;
-  FrameDecoder decoder;
-  std::string outbound;       ///< encoded frames not yet written
-  std::size_t out_off = 0;    ///< written prefix of outbound
+struct NetServer::Connection : ServerConn {
+  using ServerConn::ServerConn;
+
   std::uint64_t last_activity_ms = 0;
-  bool close_after_write = false;  ///< fatal error already queued
-  /// The peer hung up (read EOF). With no session left open that is an
-  /// orderly close, not a drop.
-  bool peer_closed = false;
-  bool authed = false;        ///< v2 handshake passed (or auth disabled)
-  bool challenged = false;    ///< a nonce is outstanding
-  std::uint64_t nonce = 0;    ///< per-connection challenge nonce
   std::vector<WireSession> sessions;
 
   WireSession* Find(std::uint64_t wire_sid) {
@@ -97,7 +86,7 @@ void NetServer::Stop() {
   [[maybe_unused]] const ssize_t n =
       ::write(manager_->output_event_fd(), &one, sizeof one);
   thread_.join();
-  for (auto& conn : connections_) CloseConnection(*conn, /*dropped=*/true);
+  for (auto& conn : connections_) conn->Close(/*dropped=*/true);
   connections_.clear();
   listener_.Close();
 }
@@ -110,9 +99,7 @@ void NetServer::Serve() {
     pfds.push_back({manager_->output_event_fd(), POLLIN, 0});
     constexpr std::size_t kFirstConn = 2;  // pfds slot of connections_[0]
     for (const auto& conn : connections_) {
-      short events = POLLIN;
-      if (conn->out_off < conn->outbound.size()) events |= POLLOUT;
-      pfds.push_back({conn->fd, events, 0});
+      pfds.push_back({conn->fd, conn->poll_events(), 0});
     }
     const int pr = ::poll(pfds.data(), pfds.size(), options_.tick_ms);
     if (pr < 0 && errno != EINTR) break;
@@ -132,24 +119,20 @@ void NetServer::Serve() {
     }
 
     const std::uint64_t now = NowMs();
-    // Iterate by index: HandleFrame never mutates connections_.
+    // HandleFrame never mutates connections_; a closed connection stays
+    // in place until the sweep below, so pfds slots keep lining up.
     for (std::size_t i = 0; i < polled; ++i) {
       Connection& conn = *connections_[i];
       const short revents = pfds[i + kFirstConn].revents;
-      bool alive = true;
-      if (revents & (POLLERR | POLLHUP | POLLNVAL)) {
-        alive = false;
-      }
+      bool alive = (revents & (POLLERR | POLLHUP | POLLNVAL)) == 0;
       if (alive && (revents & POLLIN)) {
-        alive = ReadAndDispatch(conn);
+        alive = conn.ReadFrames(
+            [&](Frame&& frame) { HandleFrame(conn, std::move(frame)); });
         if (alive) conn.last_activity_ms = now;
       }
       if (alive) PumpSessions(conn);
-      if (alive) alive = FlushOutbound(conn);
-      if (alive && conn.close_after_write &&
-          conn.out_off >= conn.outbound.size()) {
-        alive = false;
-      }
+      if (alive) alive = conn.Flush(options_.max_outbound_bytes);
+      if (alive && conn.fatal_reply_sent()) alive = false;
       if (alive && conn.sessions.empty() && options_.idle_timeout_ms > 0 &&
           now - conn.last_activity_ms >
               static_cast<std::uint64_t>(options_.idle_timeout_ms)) {
@@ -157,23 +140,10 @@ void NetServer::Serve() {
                      conn.fd);
         alive = false;
       }
-      if (!alive) {
-        // Not a drop (net_stats.h: closed by error, timeout or us): the
-        // peer hanging up after its sessions closed, or us closing after
-        // a fatal reply was fully written.
-        const bool orderly =
-            (conn.peer_closed && conn.sessions.empty()) ||
-            (conn.close_after_write && conn.out_off >= conn.outbound.size());
-        CloseConnection(conn, /*dropped=*/!orderly);
-        connections_.erase(connections_.begin() +
-                           static_cast<std::ptrdiff_t>(i));
-        --i;
-        // pfds is stale past this point for erased indices; the next loop
-        // iteration uses i+1 offsets that no longer line up, so rebuild by
-        // breaking out to the outer poll.
-        break;
-      }
+      if (!alive) conn.Close(/*dropped=*/!conn.Orderly(!conn.sessions.empty()));
     }
+    std::erase_if(connections_,
+                  [](const auto& conn) { return !conn->connected(); });
   }
 }
 
@@ -185,163 +155,19 @@ void NetServer::AcceptPending() {
       ::close(fd);
       continue;
     }
-    auto conn = std::make_unique<Connection>();
-    conn->fd = fd;
-    conn->authed = options_.secret.empty();
+    auto conn =
+        std::make_unique<Connection>(fd, stats_, options_.secret.empty());
     conn->last_activity_ms = NowMs();
     connections_.push_back(std::move(conn));
     stats_.AddAccepted();
   }
 }
 
-bool NetServer::ReadAndDispatch(Connection& conn) {
-  std::uint8_t buf[64 * 1024];
-  for (;;) {
-    const ssize_t n = ::recv(conn.fd, buf, sizeof buf, 0);
-    if (n == 0) {
-      conn.peer_closed = true;
-      return false;
-    }
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-      return false;
-    }
-    stats_.AddBytesIn(static_cast<std::uint64_t>(n));
-    conn.decoder.Feed(buf, static_cast<std::size_t>(n));
-    if (static_cast<std::size_t>(n) < sizeof buf) break;
-  }
-
-  Frame frame;
-  for (;;) {
-    const DecodeStatus status = conn.decoder.Next(&frame);
-    if (status == DecodeStatus::kNeedMore) return true;
-    if (IsDecodeError(status)) {
-      // Malformed framing maps onto the runtime's kBadInput taxonomy:
-      // tell the peer what broke, then hang up (the stream is
-      // untrustworthy once framing lied).
-      stats_.AddDecodeError();
-      NEC_LOG_WARN(kComponent, "decode error on fd %d: %s", conn.fd,
-                   DecodeStatusName(status));
-      SendError(conn, 0, runtime::ErrorCategory::kBadInput,
-                std::string("malformed frame: ") + DecodeStatusName(status));
-      conn.close_after_write = true;
-      return true;
-    }
-    stats_.AddFrameIn();
-    if (!HandleFrame(conn, std::move(frame))) return false;
-  }
-}
-
-bool NetServer::HandleFrame(Connection& conn, Frame&& frame) {
-  // Pre-auth gate: until the handshake completes, the only acceptable
-  // frames are kHello and kAuthResponse — an unauthenticated peer cannot
-  // enroll, submit, or even ping (the paper's threat model makes this
-  // service the trusted party; an open enrollment path invites flooding).
-  if (!conn.authed && frame.type != FrameType::kHello &&
-      frame.type != FrameType::kAuthResponse) {
-    RejectAuth(conn, std::string("unauthenticated ") +
-                         FrameTypeName(frame.type) + " frame");
-    return true;
-  }
+void NetServer::HandleFrame(Connection& conn, Frame&& frame) {
+  const Admission admission = conn.Admit(frame, options_.secret);
+  if (admission == Admission::kAckHello) SendHelloAck(conn);
+  if (admission != Admission::kPass) return;
   switch (frame.type) {
-    case FrameType::kHello: {
-      PayloadReader reader(frame.payload);
-      std::uint32_t min_ver = 0;
-      std::uint32_t max_ver = 0;
-      if (!reader.U32(&min_ver) || !reader.U32(&max_ver) ||
-          !reader.complete()) {
-        stats_.AddProtocolError();
-        SendError(conn, 0, runtime::ErrorCategory::kBadInput,
-                  "bad hello payload");
-        return true;
-      }
-      if (min_ver > kProtocolVersion || max_ver < kProtocolVersion) {
-        stats_.AddProtocolError();
-        SendError(conn, 0, runtime::ErrorCategory::kBadInput,
-                  "unsupported protocol version");
-        conn.close_after_write = true;
-        return true;
-      }
-      if (!conn.authed) {
-        // Secret configured and not yet proven: challenge instead of
-        // acking. Every hello gets a FRESH nonce, so a tag observed on
-        // one connection (or an earlier hello) never verifies again —
-        // that is the whole replay defense.
-        conn.nonce = RandomNonce();
-        conn.challenged = true;
-        Frame challenge;
-        challenge.type = FrameType::kAuthChallenge;
-        PutU64(&challenge.payload, conn.nonce);
-        SendFrame(conn, challenge);
-        return true;
-      }
-      const std::uint32_t chunk = static_cast<std::uint32_t>(
-          manager_->chunk_samples());
-      Frame ack;
-      ack.type = FrameType::kHelloAck;
-      PutU32(&ack.payload, kProtocolVersion);
-      PutU32(&ack.payload,
-             static_cast<std::uint32_t>(options_.input_sample_rate));
-      PutU32(&ack.payload, chunk);
-      PutU32(&ack.payload,
-             static_cast<std::uint32_t>(options_.output_sample_rate));
-      PutU32(&ack.payload,
-             static_cast<std::uint32_t>(
-                 static_cast<std::uint64_t>(chunk) *
-                 static_cast<std::uint64_t>(options_.output_sample_rate) /
-                 static_cast<std::uint64_t>(options_.input_sample_rate)));
-      SendFrame(conn, ack);
-      return true;
-    }
-
-    case FrameType::kAuthResponse: {
-      if (conn.authed) {
-        stats_.AddProtocolError();
-        SendError(conn, 0, runtime::ErrorCategory::kBadInput,
-                  "auth response on an authenticated connection");
-        return true;
-      }
-      if (!conn.challenged) {
-        RejectAuth(conn, "auth response without an outstanding challenge");
-        return true;
-      }
-      PayloadReader reader(frame.payload);
-      std::uint64_t tag = 0;
-      if (!reader.U64(&tag) || !reader.complete()) {
-        RejectAuth(conn, "bad auth response payload");
-        return true;
-      }
-      // One verification per nonce: consumed pass or fail, so a brute
-      // force cannot iterate tags against a single challenge.
-      conn.challenged = false;
-      const std::uint64_t want = AuthTag(options_.secret, conn.nonce);
-      if (tag != want) {
-        RejectAuth(conn, "auth tag mismatch");
-        return true;
-      }
-      conn.authed = true;
-      stats_.AddAuthOk();
-      // Complete the hello the challenge interrupted.
-      const std::uint32_t chunk = static_cast<std::uint32_t>(
-          manager_->chunk_samples());
-      Frame ack;
-      ack.type = FrameType::kHelloAck;
-      PutU32(&ack.payload, kProtocolVersion);
-      PutU32(&ack.payload,
-             static_cast<std::uint32_t>(options_.input_sample_rate));
-      PutU32(&ack.payload, chunk);
-      PutU32(&ack.payload,
-             static_cast<std::uint32_t>(options_.output_sample_rate));
-      PutU32(&ack.payload,
-             static_cast<std::uint32_t>(
-                 static_cast<std::uint64_t>(chunk) *
-                 static_cast<std::uint64_t>(options_.output_sample_rate) /
-                 static_cast<std::uint64_t>(options_.input_sample_rate)));
-      SendFrame(conn, ack);
-      return true;
-    }
-
     case FrameType::kOpenSession: {
       PayloadReader reader(frame.payload);
       std::uint64_t speaker_seed = 0;
@@ -349,57 +175,40 @@ bool NetServer::HandleFrame(Connection& conn, Frame&& frame) {
       if (!reader.U64(&speaker_seed) || !reader.U64(&ref_seed) ||
           !reader.complete()) {
         stats_.AddProtocolError();
-        SendError(conn, frame.session_id,
-                  runtime::ErrorCategory::kBadInput,
-                  "bad open_session payload");
-        return true;
+        conn.SendError(frame.session_id,
+                       runtime::ErrorCategory::kBadInput,
+                       "bad open_session payload");
+        return;
       }
       if (conn.Find(frame.session_id) != nullptr) {
         stats_.AddProtocolError();
-        SendError(conn, frame.session_id,
-                  runtime::ErrorCategory::kBadInput,
-                  "wire session id already open");
-        return true;
+        conn.SendError(frame.session_id,
+                       runtime::ErrorCategory::kBadInput,
+                       "wire session id already open");
+        return;
       }
-      // Deterministic seed-based enrollment: same seeds + same weights
-      // give the same enrolled session on every shard.
-      synth::DatasetBuilder enroll_builder(
-          {.duration_s = options_.enroll_seconds});
-      const auto refs = enroll_builder.MakeReferenceAudios(
-          synth::SpeakerProfile::FromSeed(speaker_seed),
-          options_.enroll_refs, ref_seed);
-      WireSession session;
-      session.wire_sid = frame.session_id;
-      session.id = manager_->CreateSession(refs);
-      session.speaker_seed = speaker_seed;
-      session.ref_seed = ref_seed;
-      conn.sessions.push_back(session);
-      stats_.AddSessionOpened();
-      Frame ack;
-      ack.type = FrameType::kOpenAck;
-      ack.session_id = frame.session_id;
-      SendFrame(conn, ack);
-      return true;
+      OpenWireSession(conn, frame.session_id, speaker_seed, ref_seed);
+      return;
     }
 
     case FrameType::kSubmitChunk: {
       WireSession* session = conn.Find(frame.session_id);
       if (session == nullptr || session->closing) {
         stats_.AddProtocolError();
-        SendError(conn, frame.session_id,
-                  runtime::ErrorCategory::kBadInput,
-                  session == nullptr ? "unknown wire session id"
-                                     : "session is closing");
-        return true;
+        conn.SendError(frame.session_id,
+                       runtime::ErrorCategory::kBadInput,
+                       session == nullptr ? "unknown wire session id"
+                                          : "session is closing");
+        return;
       }
       PayloadReader reader(frame.payload);
       std::vector<float> samples;
       if (!reader.Floats(&samples)) {
         stats_.AddProtocolError();
-        SendError(conn, frame.session_id,
-                  runtime::ErrorCategory::kBadInput,
-                  "submit payload not a float32 array");
-        return true;
+        conn.SendError(frame.session_id,
+                       runtime::ErrorCategory::kBadInput,
+                       "submit payload not a float32 array");
+        return;
       }
       const std::uint64_t flow = session->pending_flow;
       session->pending_flow = 0;
@@ -414,8 +223,8 @@ bool NetServer::HandleFrame(Connection& conn, Frame&& frame) {
         } else {
           // Typed rejection (bad input) or a faulted session: surface it
           // and, for faults, retire the wire session.
-          SendError(conn, frame.session_id, r.error->category,
-                    r.error->message);
+          conn.SendError(frame.session_id, r.error->category,
+                         r.error->message);
           if (r.error->category != runtime::ErrorCategory::kBadInput) {
             stats_.AddSessionFaulted();
             conn.sessions.erase(
@@ -423,20 +232,20 @@ bool NetServer::HandleFrame(Connection& conn, Frame&& frame) {
           }
         }
       }
-      return true;
+      return;
     }
 
     case FrameType::kCloseSession: {
       WireSession* session = conn.Find(frame.session_id);
       if (session == nullptr) {
         stats_.AddProtocolError();
-        SendError(conn, frame.session_id,
-                  runtime::ErrorCategory::kBadInput,
-                  "unknown wire session id");
-        return true;
+        conn.SendError(frame.session_id,
+                       runtime::ErrorCategory::kBadInput,
+                       "unknown wire session id");
+        return;
       }
       session->closing = true;
-      return true;
+      return;
     }
 
     case FrameType::kTraceContext: {
@@ -451,7 +260,7 @@ bool NetServer::HandleFrame(Connection& conn, Frame&& frame) {
       if (session != nullptr && reader.U64(&flow) && reader.complete()) {
         session->pending_flow = flow;
       }
-      return true;
+      return;
     }
 
     case FrameType::kPing: {
@@ -459,13 +268,13 @@ bool NetServer::HandleFrame(Connection& conn, Frame&& frame) {
       pong.type = FrameType::kPong;
       pong.session_id = frame.session_id;
       pong.payload = std::move(frame.payload);
-      SendFrame(conn, pong);
-      return true;
+      conn.Send(pong);
+      return;
     }
 
     case FrameType::kStatusRequest: {
       SendShardStatus(conn);
-      return true;
+      return;
     }
 
     case FrameType::kDrainSession: {
@@ -475,75 +284,62 @@ bool NetServer::HandleFrame(Connection& conn, Frame&& frame) {
         // toward the router) before the drain request landed. The
         // terminal frame already releases the router's sticky state, so
         // there is nothing to move.
-        return true;
+        return;
       }
       // The router has stopped forwarding this session's frames; once
       // everything in flight completes, PumpSessions exports a snapshot.
       session->draining = true;
-      return true;
+      return;
     }
 
     case FrameType::kRestoreSession: {
       SessionSnapshotPayload snap;
       if (!ParseSessionSnapshot(frame.payload, &snap)) {
         stats_.AddProtocolError();
-        SendError(conn, frame.session_id,
-                  runtime::ErrorCategory::kBadInput,
-                  "bad restore_session payload");
-        return true;
+        conn.SendError(frame.session_id,
+                       runtime::ErrorCategory::kBadInput,
+                       "bad restore_session payload");
+        return;
       }
       if (conn.Find(frame.session_id) != nullptr) {
         stats_.AddProtocolError();
-        SendError(conn, frame.session_id,
-                  runtime::ErrorCategory::kBadInput,
-                  "wire session id already open");
-        return true;
+        conn.SendError(frame.session_id,
+                       runtime::ErrorCategory::kBadInput,
+                       "wire session id already open");
+        return;
       }
       if (snap.tail.size() >= manager_->chunk_samples()) {
         // An exporting shard ships only a partial tail; a full chunk
         // would sit buffered with no strand to pop it.
         stats_.AddProtocolError();
-        SendError(conn, frame.session_id,
-                  runtime::ErrorCategory::kBadInput,
-                  "restore_session tail holds a full chunk");
-        return true;
+        conn.SendError(frame.session_id,
+                       runtime::ErrorCategory::kBadInput,
+                       "restore_session tail holds a full chunk");
+        return;
       }
       // Re-enroll deterministically from the migrated seeds (same weights
       // + same seeds = the same enrolled session the draining shard had),
       // then install the mid-stream state — partial tail and modulation
-      // latch — so continuation is bit-identical.
-      synth::DatasetBuilder enroll_builder(
-          {.duration_s = options_.enroll_seconds});
-      const auto refs = enroll_builder.MakeReferenceAudios(
-          synth::SpeakerProfile::FromSeed(snap.speaker_seed),
-          options_.enroll_refs, snap.ref_seed);
-      WireSession session;
-      session.wire_sid = frame.session_id;
-      session.id = manager_->CreateSession(refs);
-      session.speaker_seed = snap.speaker_seed;
-      session.ref_seed = snap.ref_seed;
+      // latch — so continuation is bit-identical. Only this thread feeds
+      // the session, so the ack queued first reaches no one earlier.
+      const WireSession& session = OpenWireSession(
+          conn, frame.session_id, snap.speaker_seed, snap.ref_seed);
       manager_->RestoreSession(
           session.id,
           runtime::SessionSnapshot{
               .tail = std::move(snap.tail),
               .mod_reference_peak = std::bit_cast<double>(snap.latch_bits),
               .chunks_emitted = snap.chunks_done});
-      conn.sessions.push_back(session);
-      stats_.AddSessionOpened();
-      Frame ack;
-      ack.type = FrameType::kOpenAck;
-      ack.session_id = frame.session_id;
-      SendFrame(conn, ack);
-      return true;
+      return;
     }
 
     default:
       // Server-to-client types arriving at the server are protocol abuse.
       stats_.AddProtocolError();
-      SendError(conn, frame.session_id, runtime::ErrorCategory::kBadInput,
-                std::string("unexpected frame type: ") +
-                    FrameTypeName(frame.type));
-      return true;
+      conn.SendError(frame.session_id, runtime::ErrorCategory::kBadInput,
+                     std::string("unexpected frame type: ") +
+                         FrameTypeName(frame.type));
+      return;
   }
 }
 
@@ -565,7 +361,7 @@ void NetServer::PumpSessions(Connection& conn) {
       const runtime::SessionError error =
           status.error.value_or(runtime::SessionError{
               runtime::ErrorCategory::kInvariant, "session faulted"});
-      SendError(conn, session.wire_sid, error.category, error.message);
+      conn.SendError(session.wire_sid, error.category, error.message);
       stats_.AddSessionFaulted();
       conn.sessions.erase(conn.sessions.begin() +
                           static_cast<std::ptrdiff_t>(i));
@@ -596,7 +392,7 @@ void NetServer::PumpSessions(Connection& conn) {
         data.type = FrameType::kShadowData;
         data.session_id = session.wire_sid;
         PutFloats(&data.payload, out.samples());
-        SendFrame(conn, data);
+        conn.Send(data);
       }
       if (session.nudge || !manager_->SessionQuiescent(session.id)) {
         continue;  // still settling; try again next tick
@@ -613,7 +409,7 @@ void NetServer::PumpSessions(Connection& conn) {
         snapshot.type = FrameType::kSessionSnapshot;
         snapshot.session_id = session.wire_sid;
         PutSessionSnapshot(&snapshot.payload, payload);
-        SendFrame(conn, snapshot);
+        conn.Send(snapshot);
         // Reclaim the backing session: reuse buffers reset, modulation
         // latch cleared. Migrated, not closed and not faulted.
         manager_->ResetSession(session.id);
@@ -642,7 +438,7 @@ void NetServer::PumpSessions(Connection& conn) {
       data.type = FrameType::kShadowData;
       data.session_id = session.wire_sid;
       PutFloats(&data.payload, out.samples());
-      SendFrame(conn, data);
+      conn.Send(data);
       if (t0_ns != 0) {
         // Reply span, tagged with the last traced chunk's flow so the
         // merged fleet trace reaches client-submit → shard-compute →
@@ -657,7 +453,7 @@ void NetServer::PumpSessions(Connection& conn) {
       Frame closed;
       closed.type = FrameType::kClosed;
       closed.session_id = session.wire_sid;
-      SendFrame(conn, closed);
+      conn.Send(closed);
       stats_.AddSessionClosed();
       conn.sessions.erase(conn.sessions.begin() +
                           static_cast<std::ptrdiff_t>(i));
@@ -666,33 +462,43 @@ void NetServer::PumpSessions(Connection& conn) {
   }
 }
 
-void NetServer::SendFrame(Connection& conn, const Frame& frame) {
-  EncodeFrame(frame, &conn.outbound);
-  stats_.AddFrameOut();
+NetServer::WireSession& NetServer::OpenWireSession(
+    Connection& conn, std::uint64_t wire_sid, std::uint64_t speaker_seed,
+    std::uint64_t ref_seed) {
+  // Deterministic seed-based enrollment: same seeds + same weights give
+  // the same enrolled session on every shard.
+  synth::DatasetBuilder enroll_builder({.duration_s = options_.enroll_seconds});
+  const auto refs = enroll_builder.MakeReferenceAudios(
+      synth::SpeakerProfile::FromSeed(speaker_seed), options_.enroll_refs,
+      ref_seed);
+  const runtime::SessionManager::SessionId id = manager_->CreateSession(refs);
+  conn.sessions.push_back({.wire_sid = wire_sid,
+                           .id = id,
+                           .speaker_seed = speaker_seed,
+                           .ref_seed = ref_seed});
+  stats_.AddSessionOpened();
+  Frame ack;
+  ack.type = FrameType::kOpenAck;
+  ack.session_id = wire_sid;
+  conn.Send(ack);
+  return conn.sessions.back();
 }
 
-void NetServer::SendError(Connection& conn, std::uint64_t wire_sid,
-                          runtime::ErrorCategory category,
-                          const std::string& message) {
-  Frame frame;
-  frame.type = FrameType::kError;
-  frame.session_id = wire_sid;
-  PutU32(&frame.payload, static_cast<std::uint32_t>(category));
-  frame.payload.insert(frame.payload.end(), message.begin(), message.end());
-  SendFrame(conn, frame);
-}
-
-void NetServer::RejectAuth(Connection& conn, const std::string& message) {
-  stats_.AddAuthRejected();
-  NEC_LOG_WARN(kComponent, "auth rejected on fd %d: %s", conn.fd,
-               message.c_str());
-  Frame frame;
-  frame.type = FrameType::kAuthReject;
-  PutU32(&frame.payload, static_cast<std::uint32_t>(
-                             runtime::ErrorCategory::kAuthRejected));
-  frame.payload.insert(frame.payload.end(), message.begin(), message.end());
-  SendFrame(conn, frame);
-  conn.close_after_write = true;
+void NetServer::SendHelloAck(Connection& conn) {
+  const auto chunk = static_cast<std::uint32_t>(manager_->chunk_samples());
+  const auto in_rate = static_cast<std::uint32_t>(options_.input_sample_rate);
+  const auto out_rate =
+      static_cast<std::uint32_t>(options_.output_sample_rate);
+  Frame ack;
+  ack.type = FrameType::kHelloAck;
+  PutHelloAck(&ack.payload,
+              {.version = kProtocolVersion,
+               .input_sample_rate = in_rate,
+               .chunk_samples = chunk,
+               .output_sample_rate = out_rate,
+               .output_samples_per_chunk = static_cast<std::uint32_t>(
+                   std::uint64_t{chunk} * out_rate / in_rate)});
+  conn.Send(ack);
 }
 
 void NetServer::SendShardStatus(Connection& conn) {
@@ -710,50 +516,7 @@ void NetServer::SendShardStatus(Connection& conn) {
   Frame frame;
   frame.type = FrameType::kShardStatus;
   PutShardStatus(&frame.payload, status);
-  SendFrame(conn, frame);
-}
-
-bool NetServer::FlushOutbound(Connection& conn) {
-  while (conn.out_off < conn.outbound.size()) {
-    const ssize_t n = ::send(conn.fd, conn.outbound.data() + conn.out_off,
-                             conn.outbound.size() - conn.out_off,
-#if defined(MSG_NOSIGNAL)
-                             MSG_NOSIGNAL
-#else
-                             0
-#endif
-    );
-    if (n > 0) {
-      conn.out_off += static_cast<std::size_t>(n);
-      stats_.AddBytesOut(static_cast<std::uint64_t>(n));
-      continue;
-    }
-    if (n < 0 && errno == EINTR) continue;
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-    return false;  // peer gone mid-write
-  }
-  if (conn.out_off == conn.outbound.size()) {
-    conn.outbound.clear();
-    conn.out_off = 0;
-  } else if (conn.out_off > (1u << 20)) {
-    conn.outbound.erase(0, conn.out_off);
-    conn.out_off = 0;
-  }
-  if (conn.outbound.size() - conn.out_off > options_.max_outbound_bytes) {
-    NEC_LOG_WARN(kComponent,
-                 "dropping connection fd %d: peer not reading (%zu bytes "
-                 "pending)",
-                 conn.fd, conn.outbound.size() - conn.out_off);
-    return false;
-  }
-  return true;
-}
-
-void NetServer::CloseConnection(Connection& conn, bool dropped) {
-  if (conn.fd < 0) return;
-  ::close(conn.fd);
-  conn.fd = -1;
-  stats_.AddClosed(dropped);
+  conn.Send(frame);
 }
 
 }  // namespace nec::net

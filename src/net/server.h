@@ -9,6 +9,12 @@
 // containment all apply unchanged); the poll thread only moves bytes,
 // synthesizes enrollment references, and pumps TakeOutput.
 //
+// Each accepted connection is a net::ServerConn (net/conn.h), the same
+// buffered frame connection and v2 handshake gate the router's client
+// face runs: reading, flushing, kError/kAuthReject replies and the
+// orderly-or-dropped close rule live there. This file owns what only a
+// shard does: the hello ack's chunk geometry, sessions, idle_timeout_ms.
+//
 // Protocol contract (client side sees):
 //   kHello        → kHelloAck (rates + chunk geometry; version negotiation)
 //   kOpenSession  → kOpenAck, or kError if the wire session id is taken
@@ -103,23 +109,19 @@ class NetServer {
 
   void Serve();
   void AcceptPending();
-  /// Drains readable bytes into the connection's decoder and handles
-  /// every complete frame. Returns false when the connection must close.
-  bool ReadAndDispatch(Connection& conn);
-  bool HandleFrame(Connection& conn, Frame&& frame);
+  void HandleFrame(Connection& conn, Frame&& frame);
+  /// Enrolls a session from its seeds (the paper's reference clips,
+  /// synthesized deterministically), binds it to `wire_sid` on `conn` and
+  /// queues the kOpenAck.
+  WireSession& OpenWireSession(Connection& conn, std::uint64_t wire_sid,
+                               std::uint64_t speaker_seed,
+                               std::uint64_t ref_seed);
   /// Streams TakeOutput/fault/close progress for every session of `conn`.
   void PumpSessions(Connection& conn);
-  void SendFrame(Connection& conn, const Frame& frame);
-  void SendError(Connection& conn, std::uint64_t wire_sid,
-                 runtime::ErrorCategory category, const std::string& message);
-  /// kAuthReject(kAuthRejected) + counter + close-after-write.
-  void RejectAuth(Connection& conn, const std::string& message);
+  /// kHelloAck carrying the shard's rates and chunk geometry.
+  void SendHelloAck(Connection& conn);
   /// kShardStatus reply for a kStatusRequest (load snapshot).
   void SendShardStatus(Connection& conn);
-  /// Flushes as much of conn.outbound as the socket accepts right now.
-  /// Returns false when the connection must close.
-  bool FlushOutbound(Connection& conn);
-  void CloseConnection(Connection& conn, bool dropped);
 
   runtime::SessionManager* const manager_;
   const Options options_;

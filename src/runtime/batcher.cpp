@@ -174,6 +174,9 @@ void ContinuousBatcher::WorkerLoop(std::size_t worker_index) {
       "dispatch-4", "dispatch-5", "dispatch-6", "dispatch-7"};
   obs::TraceRecorder::SetThreadName(
       worker_index < std::size(kNames) ? kNames[worker_index] : "dispatch");
+  // Reused across batches, so a warm dispatcher allocates no bookkeeping.
+  std::vector<Item> batch;
+  std::vector<Lane*> claimed;
   std::unique_lock lock(mu_);
   for (;;) {
     ++idle_workers_;
@@ -186,13 +189,13 @@ void ContinuousBatcher::WorkerLoop(std::size_t worker_index) {
     --idle_workers_;
     if (!HasEligibleLocked()) return;  // shutdown with nothing left to serve
 
-    std::vector<Item> batch;
-    std::vector<Lane*> claimed;
+    claimed.clear();
     GatherLocked(batch, claimed);
     ++active_batches_;
     lock.unlock();
 
     fn_(std::move(batch));
+    batch.clear();  // frees the chunks outside the lock
 
     lock.lock();
     --active_batches_;

@@ -22,11 +22,10 @@ double MsSince(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-// Maps the exception currently being handled onto the closed error
-// taxonomy. Must be called from inside a catch block.
-SessionError ClassifyCurrentException() {
+// Maps an exception onto the closed error taxonomy.
+SessionError ClassifyException(std::exception_ptr error) {
   try {
-    throw;
+    std::rethrow_exception(error);
   } catch (const InjectedFault& f) {
     return SessionError{f.category(), f.what()};
   } catch (const std::invalid_argument& e) {
@@ -231,7 +230,7 @@ void SessionManager::RunStrand(Session* s) {
       // local id.
       batcher_->Enqueue(s, std::move(chunk), flow);
     } catch (...) {
-      FaultSession(s, ClassifyCurrentException());
+      FaultSession(s, ClassifyException(std::current_exception()));
       break;
     }
   }
@@ -290,7 +289,7 @@ bool SessionManager::ProcessOneChunk(
       }
       return true;
     } catch (...) {
-      SessionError err = ClassifyCurrentException();
+      SessionError err = ClassifyException(std::current_exception());
       if (probe) {
         // The rung above is still broken: fall back to the current rung
         // and regenerate there. Retries/degradation judge the current
@@ -380,30 +379,29 @@ void SessionManager::RunBatch(std::vector<ContinuousBatcher::Item>&& items) {
   // admission order (FIFO within each session — the batcher's lane
   // invariant) so per-session chunk order, and with it the modulation
   // latch, is preserved across ladder transitions.
-  enum class Route { kShed, kBatched, kSingle };
-  std::vector<Route> route(items.size());
-  std::vector<std::size_t> neural;
-  neural.reserve(items.size());
+  // The bookkeeping lives in the dispatcher's scratch, reused per batch.
+  enum Route : std::uint8_t { kShed, kBatched, kSingle };
+  core::ChunkScratch& scratch = core::ChunkScratch::ThisThread();
+  std::vector<std::uint8_t>& route = scratch.routes;
+  std::vector<std::size_t>& neural = scratch.batched;
+  route.resize(items.size());
+  neural.clear();
   for (std::size_t i = 0; i < items.size(); ++i) {
     Session* s = static_cast<Session*>(items[i].key);
     std::lock_guard lock(s->mu);
     if (s->error.has_value()) {
-      route[i] = Route::kShed;
+      route[i] = kShed;
     } else if (s->level == DegradeLevel::kNeural) {
-      route[i] = Route::kBatched;
+      route[i] = kBatched;
       neural.push_back(i);
     } else {
-      route[i] = Route::kSingle;
+      route[i] = kSingle;
     }
   }
 
   // Slot j of the dispatcher's scratch serves neural[j].
-  core::ChunkScratch& scratch = core::ChunkScratch::ThisThread();
   while (scratch.slots.size() < neural.size()) scratch.slots.emplace_back();
-  std::vector<std::optional<SessionError>> errors(items.size());
-  if (!neural.empty()) {
-    GenerateShadowsBisect(items, neural, 0, neural.size(), scratch, errors);
-  }
+  if (!neural.empty()) GenerateShadowsBisect(items, 0, neural.size(), scratch);
 
   // Complete in admission order: per-session chunk order — and with it
   // the stream-wide modulation-reference latch — is part of the bits.
@@ -411,15 +409,18 @@ void SessionManager::RunBatch(std::vector<ContinuousBatcher::Item>&& items) {
   for (std::size_t i = 0; i < items.size(); ++i) {
     Session* s = static_cast<Session*>(items[i].key);
     switch (route[i]) {
-      case Route::kShed:
+      case kShed:
         stats_.AddSamplesDropped(items[i].chunk.size());
         break;
-      case Route::kBatched: {
-        const audio::Waveform& shadow = scratch.slots[slot++].shadow;
-        if (errors[i].has_value()) {
+      case kBatched: {
+        core::ChunkScratch::Slot& done = scratch.slots[slot++];
+        const audio::Waveform& shadow = done.shadow;
+        if (done.error) {
           // The bisection isolated this item as the poison.
           HandleGenerationError(s, std::move(items[i].chunk),
-                                std::move(*errors[i]), items[i].enqueued);
+                                ClassifyException(std::exchange(done.error,
+                                                                nullptr)),
+                                items[i].enqueued);
           break;
         }
         try {
@@ -431,11 +432,11 @@ void SessionManager::RunBatch(std::vector<ContinuousBatcher::Item>&& items) {
           EmitChunk(s, scratch.modulated, items[i].enqueued, t0, t0_ns,
                     items[i].flow_id, DegradeLevel::kNeural, /*probe=*/false);
         } catch (...) {
-          FaultSession(s, ClassifyCurrentException());
+          FaultSession(s, ClassifyException(std::current_exception()));
         }
         break;
       }
-      case Route::kSingle:
+      case kSingle:
         // Degraded (or probing) session: generate on the claiming
         // dispatcher so completion order stays FIFO. ProcessOneChunk owns
         // retries, the ladder, the fault transition — and, via the flow
@@ -453,16 +454,16 @@ void SessionManager::RunBatch(std::vector<ContinuousBatcher::Item>&& items) {
 }
 
 void SessionManager::GenerateShadowsBisect(
-    std::vector<ContinuousBatcher::Item>& items,
-    const std::vector<std::size_t>& indices, std::size_t begin,
-    std::size_t end, core::ChunkScratch& scratch,
-    std::vector<std::optional<SessionError>>& errors) {
+    std::vector<ContinuousBatcher::Item>& items, std::size_t begin,
+    std::size_t end, core::ChunkScratch& scratch) {
   const std::size_t n = end - begin;
   if (n == 0) return;
   try {
-    std::vector<core::ShadowBatchRequest> requests(n);
+    // A retry reuses the requests: the failed attempt is over.
+    std::vector<core::ShadowBatchRequest>& requests = scratch.requests;
+    requests.resize(n);
     for (std::size_t j = 0; j < n; ++j) {
-      const std::size_t i = indices[begin + j];
+      const std::size_t i = scratch.batched[begin + j];
       Session* s = static_cast<Session*>(items[i].key);
       // Per-item injection site, hit inside the attempt so the bisection
       // isolates down to the single poisoned item.
@@ -478,7 +479,7 @@ void SessionManager::GenerateShadowsBisect(
     core::GenerateShadowBatchInto(requests, scratch.single.arena);
   } catch (...) {
     if (n == 1) {
-      errors[indices[begin]] = ClassifyCurrentException();
+      scratch.slots[begin].error = std::current_exception();
       return;
     }
     // A poisoned batch: split and retry each half. The batched forward is
@@ -487,8 +488,8 @@ void SessionManager::GenerateShadowsBisect(
     // O(log n) extra forwards for the poisoned item's neighborhood.
     stats_.AddBatchSplit();
     const std::size_t mid = begin + n / 2;
-    GenerateShadowsBisect(items, indices, begin, mid, scratch, errors);
-    GenerateShadowsBisect(items, indices, mid, end, scratch, errors);
+    GenerateShadowsBisect(items, begin, mid, scratch);
+    GenerateShadowsBisect(items, mid, end, scratch);
   }
 }
 

@@ -385,16 +385,14 @@ class SessionManager {
                                  DegradeLevel level,
                                  core::ChunkScratch& scratch);
 
-  /// Batched forward over indices[begin, end) with bisection: a sub-batch
-  /// that throws is split until the poisoned item is isolated; its slot in
-  /// `errors` (indexed like `items`) gets the error, every other item's
-  /// shadow lands in scratch.slots[j] for indices[j]. `scratch` is the
+  /// Batched forward over scratch.batched[begin, end) with bisection: a
+  /// sub-batch that throws is split until the poisoned item is isolated;
+  /// its slot gets the error, every other item's shadow lands in
+  /// scratch.slots[j] for scratch.batched[j]. `scratch` is the
   /// dispatcher's own (core::ChunkScratch::ThisThread).
   void GenerateShadowsBisect(std::vector<ContinuousBatcher::Item>& items,
-                             const std::vector<std::size_t>& indices,
                              std::size_t begin, std::size_t end,
-                             core::ChunkScratch& scratch,
-                             std::vector<std::optional<SessionError>>& errors);
+                             core::ChunkScratch& scratch);
 
   /// Applies the on_error policy to a chunk whose batched generation
   /// failed: step down the ladder and regenerate singly (kDegrade, so the

@@ -452,6 +452,14 @@ TEST(PayloadReader, FuzzV2ParsersNeverCrashOrOverRead) {
     for (auto& b : blob) b = static_cast<std::uint8_t>(rng());
     ShardStatusPayload status;
     ParseShardStatus(blob, &status);  // must not crash / over-read
+    // Five u32s exactly, and every such blob round-trips byte for byte.
+    HelloInfo hello;
+    ASSERT_EQ(ParseHelloAck(blob, &hello), blob.size() == 20);
+    if (blob.size() == 20) {
+      std::vector<std::uint8_t> again;
+      PutHelloAck(&again, hello);
+      EXPECT_EQ(again, blob);
+    }
     SessionSnapshotPayload snapshot;
     if (ParseSessionSnapshot(blob, &snapshot)) {
       // Anything it accepted must have fit inside the blob.
@@ -796,15 +804,139 @@ TEST(NetServerE2E, ServesLoadGenSessionsBitIdenticalOverSeveralConnections) {
   server.Stop();
 }
 
-TEST(NetServerE2E, RejectsUnsupportedProtocolVersion) {
-  SharedModel model;
-  runtime::SessionManager manager(model.selector, model.encoder, {},
-                                  model.ManagerOptions());
-  NetServer server(&manager, {});
-  std::string error;
-  ASSERT_TRUE(server.Start(&error)) << error;
+// ------------------------------------------------------ router fleet
 
-  const int fd = DialTcp("127.0.0.1", server.port(), 2000, &error);
+/// Knobs a fleet test can turn on: shared-secret auth on every hop,
+/// router admission control (saturate_queue_depth > 0 enables it), and
+/// the shard count.
+struct FleetOptions {
+  std::string secret;
+  std::uint64_t saturate_queue_depth = 0;
+  std::uint64_t recover_queue_depth = 0;
+  std::size_t recover_statuses = 2;
+  int shards = 2;
+};
+
+/// A fleet on loopback (2 shards by default): SessionManagers sharing one
+/// weight set (the in-test stand-in for processes loading the same
+/// model), each behind a NetServer and a /healthz endpoint, fronted by a
+/// Router.
+struct Fleet {
+  explicit Fleet(const SharedModel& model,
+                 const FleetOptions& fleet_options = {}) {
+    for (int s = 0; s < fleet_options.shards; ++s) {
+      managers.push_back(std::make_unique<runtime::SessionManager>(
+          model.selector, model.encoder, core::PipelineOptions{},
+          model.ManagerOptions()));
+      servers.push_back(std::make_unique<NetServer>(
+          managers.back().get(),
+          NetServer::Options{.secret = fleet_options.secret}));
+      std::string error;
+      EXPECT_TRUE(servers.back()->Start(&error)) << error;
+
+      health.push_back(std::make_unique<obs::MetricsServer>());
+      health.back()->Handle("/healthz",
+                            [](const std::string&, const std::string&) {
+                              obs::HttpResponse resp;
+                              resp.body = "{\"status\":\"ok\"}\n";
+                              return resp;
+                            });
+      EXPECT_TRUE(health.back()->Start({.host = "127.0.0.1", .port = 0},
+                                       &error))
+          << error;
+    }
+    Router::Options options;
+    options.probe_interval_ms = 100;
+    options.secret = fleet_options.secret;
+    if (fleet_options.saturate_queue_depth > 0) {
+      options.saturate_queue_depth = fleet_options.saturate_queue_depth;
+      options.recover_queue_depth = fleet_options.recover_queue_depth;
+      options.recover_statuses = fleet_options.recover_statuses;
+    }
+    for (int s = 0; s < fleet_options.shards; ++s) {
+      options.shards.push_back({.host = "127.0.0.1",
+                                .port = servers[s]->port(),
+                                .health_port = health[s]->port()});
+    }
+    router = std::make_unique<Router>(std::move(options));
+    std::string error;
+    EXPECT_TRUE(router->Start(&error)) << error;
+  }
+
+  /// The "host:port" label DrainShard and the metrics families use.
+  std::string ShardLabel(std::size_t s) const {
+    return "127.0.0.1:" + std::to_string(servers[s]->port());
+  }
+
+  ~Fleet() {
+    router->Stop();
+    for (auto& server : servers) server->Stop();
+    for (auto& h : health) h->Stop();
+  }
+
+  std::vector<std::unique_ptr<runtime::SessionManager>> managers;
+  std::vector<std::unique_ptr<NetServer>> servers;
+  std::vector<std::unique_ptr<obs::MetricsServer>> health;
+  std::unique_ptr<Router> router;
+};
+
+// ------------------------------------------------------ both server faces
+
+/// The two faces that accept wire connections and run the server half of
+/// the handshake.
+enum class Face { kShard, kRouter };
+
+/// A face under test, by parameter: a shard, or a router in front of one
+/// shard. Every hop requires the secret "fleet-secret"; a hello and a
+/// stream that stops framing are answered before auth.
+class FaceTest : public testing::TestWithParam<Face> {
+ protected:
+  void SetUp() override {
+    if (GetParam() == Face::kRouter) {
+      fleet_ = std::make_unique<Fleet>(
+          model_, FleetOptions{.secret = "fleet-secret", .shards = 1});
+      return;
+    }
+    manager_ = std::make_unique<runtime::SessionManager>(
+        model_.selector, model_.encoder, core::PipelineOptions{},
+        model_.ManagerOptions());
+    shard_ = std::make_unique<NetServer>(
+        manager_.get(), NetServer::Options{.secret = "fleet-secret"});
+    std::string error;
+    ASSERT_TRUE(shard_->Start(&error)) << error;
+  }
+
+  int port() const {
+    return fleet_ != nullptr ? fleet_->router->port() : shard_->port();
+  }
+  NetStatsSnapshot stats() const {
+    return fleet_ != nullptr ? fleet_->router->StatsSnapshot()
+                             : shard_->StatsSnapshot();
+  }
+
+ private:
+  SharedModel model_;
+  std::unique_ptr<runtime::SessionManager> manager_;
+  std::unique_ptr<NetServer> shard_;
+  std::unique_ptr<Fleet> fleet_;
+};
+
+std::string FaceName(const testing::TestParamInfo<Face>& info) {
+  return info.param == Face::kShard ? "Shard" : "Router";
+}
+
+using NetServerFaceE2E = FaceTest;
+using NetAuthFaceE2E = FaceTest;
+INSTANTIATE_TEST_SUITE_P(Faces, NetServerFaceE2E,
+                         testing::Values(Face::kShard, Face::kRouter),
+                         FaceName);
+INSTANTIATE_TEST_SUITE_P(Faces, NetAuthFaceE2E,
+                         testing::Values(Face::kShard, Face::kRouter),
+                         FaceName);
+
+TEST_P(NetServerFaceE2E, RejectsUnsupportedProtocolVersion) {
+  std::string error;
+  const int fd = DialTcp("127.0.0.1", port(), 2000, &error);
   ASSERT_GE(fd, 0) << error;
   Frame hello;
   hello.type = FrameType::kHello;
@@ -833,19 +965,17 @@ TEST(NetServerE2E, RejectsUnsupportedProtocolVersion) {
   ASSERT_TRUE(reader.U32(&category));
   EXPECT_EQ(category,
             static_cast<std::uint32_t>(runtime::ErrorCategory::kBadInput));
+  EXPECT_NE(reader.RemainingText().find("unsupported protocol version"),
+            std::string::npos);
+  // No version in common: the connection is closed behind the kError.
+  std::uint8_t byte = 0;
+  EXPECT_EQ(ReadFull(fd, &byte, 1, 5000), IoStatus::kClosed);
   ::close(fd);
-  server.Stop();
 }
 
-TEST(NetServerE2E, MalformedBytesGetTypedErrorThenDisconnect) {
-  SharedModel model;
-  runtime::SessionManager manager(model.selector, model.encoder, {},
-                                  model.ManagerOptions());
-  NetServer server(&manager, {});
+TEST_P(NetServerFaceE2E, MalformedBytesGetTypedErrorThenDisconnect) {
   std::string error;
-  ASSERT_TRUE(server.Start(&error)) << error;
-
-  const int fd = DialTcp("127.0.0.1", server.port(), 2000, &error);
+  const int fd = DialTcp("127.0.0.1", port(), 2000, &error);
   ASSERT_GE(fd, 0) << error;
   const char garbage[64] = "this is definitely not a NEC1 frame";
   ASSERT_EQ(WriteFull(fd, garbage, sizeof garbage, 2000), IoStatus::kOk);
@@ -873,9 +1003,8 @@ TEST(NetServerE2E, MalformedBytesGetTypedErrorThenDisconnect) {
             static_cast<std::uint32_t>(runtime::ErrorCategory::kBadInput));
   EXPECT_NE(reader.RemainingText().find("malformed frame"),
             std::string::npos);
-  EXPECT_EQ(server.StatsSnapshot().decode_errors, 1u);
+  EXPECT_EQ(stats().decode_errors, 1u);
   ::close(fd);
-  server.Stop();
 }
 
 // ------------------------------------------------------- auth handshake
@@ -1052,18 +1181,11 @@ TEST(NetAuthE2E, GoodSecretRoundTripsBitIdentically) {
   server.Stop();
 }
 
-TEST(NetAuthE2E, WrongSecretIsRejectedAndCounted) {
-  SharedModel model;
-  runtime::SessionManager manager(model.selector, model.encoder, {},
-                                  model.ManagerOptions());
-  NetServer server(&manager, {.secret = "fleet-secret"});
+TEST_P(NetAuthFaceE2E, WrongSecretIsRejectedAndCounted) {
   std::string error;
-  ASSERT_TRUE(server.Start(&error)) << error;
-
   NetClient client;
   client.set_secret("wrong-secret");
-  ASSERT_TRUE(client.Connect("127.0.0.1", server.port(), 2000, &error))
-      << error;
+  ASSERT_TRUE(client.Connect("127.0.0.1", port(), 2000, &error)) << error;
   HelloInfo hello;
   EXPECT_FALSE(client.Hello(&hello, 5000, &error));
   EXPECT_TRUE(client.auth_rejected());
@@ -1072,11 +1194,10 @@ TEST(NetAuthE2E, WrongSecretIsRejectedAndCounted) {
             static_cast<std::uint32_t>(
                 runtime::ErrorCategory::kAuthRejected));
 
-  const NetStatsSnapshot stats = server.StatsSnapshot();
-  EXPECT_EQ(stats.auth_ok, 0u);
-  EXPECT_EQ(stats.auth_rejected, 1u);
-  EXPECT_EQ(stats.sessions_opened, 0u);
-  server.Stop();
+  const NetStatsSnapshot face = stats();
+  EXPECT_EQ(face.auth_ok, 0u);
+  EXPECT_EQ(face.auth_rejected, 1u);
+  EXPECT_EQ(face.sessions_opened, 0u);
 }
 
 TEST(NetAuthE2E, RedialAfterRejectStartsFreshHandshake) {
@@ -1140,16 +1261,10 @@ TEST(NetAuthE2E, MissingSecretFailsAsAuthNotTimeout) {
   server.Stop();
 }
 
-TEST(NetAuthE2E, UnauthenticatedFramesAreGated) {
-  SharedModel model;
-  runtime::SessionManager manager(model.selector, model.encoder, {},
-                                  model.ManagerOptions());
-  NetServer server(&manager, {.secret = "fleet-secret"});
+TEST_P(NetAuthFaceE2E, UnauthenticatedFramesAreGated) {
   std::string error;
-  ASSERT_TRUE(server.Start(&error)) << error;
-
   // Skip the handshake and go straight for enrollment.
-  const int fd = DialTcp("127.0.0.1", server.port(), 2000, &error);
+  const int fd = DialTcp("127.0.0.1", port(), 2000, &error);
   ASSERT_GE(fd, 0) << error;
   Frame open;
   open.type = FrameType::kOpenSession;
@@ -1172,22 +1287,15 @@ TEST(NetAuthE2E, UnauthenticatedFramesAreGated) {
   EXPECT_EQ(ReadFull(fd, &byte, 1, 5000), IoStatus::kClosed);
   ::close(fd);
 
-  const NetStatsSnapshot stats = server.StatsSnapshot();
-  EXPECT_EQ(stats.auth_rejected, 1u);
-  EXPECT_EQ(stats.sessions_opened, 0u);
-  server.Stop();
+  const NetStatsSnapshot face = stats();
+  EXPECT_EQ(face.auth_rejected, 1u);
+  EXPECT_EQ(face.sessions_opened, 0u);
 }
 
-TEST(NetAuthE2E, ReplayedTagFromAnotherConnectionIsRejected) {
-  SharedModel model;
-  runtime::SessionManager manager(model.selector, model.encoder, {},
-                                  model.ManagerOptions());
-  NetServer server(&manager, {.secret = "fleet-secret"});
+TEST_P(NetAuthFaceE2E, ReplayedTagFromAnotherConnectionIsRejected) {
   std::string error;
-  ASSERT_TRUE(server.Start(&error)) << error;
-
   // Connection A: complete a legitimate handshake, remembering the tag.
-  const int fd_a = DialTcp("127.0.0.1", server.port(), 2000, &error);
+  const int fd_a = DialTcp("127.0.0.1", port(), 2000, &error);
   ASSERT_GE(fd_a, 0) << error;
   ASSERT_TRUE(SendRawFrame(fd_a, MakeHello()));
   Frame challenge_a;
@@ -1209,7 +1317,7 @@ TEST(NetAuthE2E, ReplayedTagFromAnotherConnectionIsRejected) {
 
   // Connection B: replay A's tag. B was issued a different nonce, so the
   // eavesdropped tag proves nothing and must be rejected.
-  const int fd_b = DialTcp("127.0.0.1", server.port(), 2000, &error);
+  const int fd_b = DialTcp("127.0.0.1", port(), 2000, &error);
   ASSERT_GE(fd_b, 0) << error;
   ASSERT_TRUE(SendRawFrame(fd_b, MakeHello()));
   Frame challenge_b;
@@ -1230,84 +1338,12 @@ TEST(NetAuthE2E, ReplayedTagFromAnotherConnectionIsRejected) {
   ::close(fd_a);
   ::close(fd_b);
 
-  const NetStatsSnapshot stats = server.StatsSnapshot();
-  EXPECT_EQ(stats.auth_ok, 1u);
-  EXPECT_EQ(stats.auth_rejected, 1u);
-  server.Stop();
+  const NetStatsSnapshot face = stats();
+  EXPECT_EQ(face.auth_ok, 1u);
+  EXPECT_EQ(face.auth_rejected, 1u);
 }
 
 // ------------------------------------------------------ router fleet e2e
-
-/// Knobs a fleet test can turn on: shared-secret auth on every hop, and
-/// router admission control (saturate_queue_depth > 0 enables it).
-struct FleetOptions {
-  std::string secret;
-  std::uint64_t saturate_queue_depth = 0;
-  std::uint64_t recover_queue_depth = 0;
-  std::size_t recover_statuses = 2;
-};
-
-/// A 2-shard fleet on loopback: two SessionManagers sharing one weight
-/// set (the in-test stand-in for two processes loading the same model),
-/// each behind a NetServer and a /healthz endpoint, fronted by a Router.
-struct Fleet {
-  explicit Fleet(const SharedModel& model,
-                 const FleetOptions& fleet_options = {}) {
-    for (int s = 0; s < 2; ++s) {
-      managers.push_back(std::make_unique<runtime::SessionManager>(
-          model.selector, model.encoder, core::PipelineOptions{},
-          model.ManagerOptions()));
-      servers.push_back(std::make_unique<NetServer>(
-          managers.back().get(),
-          NetServer::Options{.secret = fleet_options.secret}));
-      std::string error;
-      EXPECT_TRUE(servers.back()->Start(&error)) << error;
-
-      health.push_back(std::make_unique<obs::MetricsServer>());
-      health.back()->Handle("/healthz",
-                            [](const std::string&, const std::string&) {
-                              obs::HttpResponse resp;
-                              resp.body = "{\"status\":\"ok\"}\n";
-                              return resp;
-                            });
-      EXPECT_TRUE(health.back()->Start({.host = "127.0.0.1", .port = 0},
-                                       &error))
-          << error;
-    }
-    Router::Options options;
-    options.probe_interval_ms = 100;
-    options.secret = fleet_options.secret;
-    if (fleet_options.saturate_queue_depth > 0) {
-      options.saturate_queue_depth = fleet_options.saturate_queue_depth;
-      options.recover_queue_depth = fleet_options.recover_queue_depth;
-      options.recover_statuses = fleet_options.recover_statuses;
-    }
-    for (int s = 0; s < 2; ++s) {
-      options.shards.push_back({.host = "127.0.0.1",
-                                .port = servers[s]->port(),
-                                .health_port = health[s]->port()});
-    }
-    router = std::make_unique<Router>(std::move(options));
-    std::string error;
-    EXPECT_TRUE(router->Start(&error)) << error;
-  }
-
-  /// The "host:port" label DrainShard and the metrics families use.
-  std::string ShardLabel(std::size_t s) const {
-    return "127.0.0.1:" + std::to_string(servers[s]->port());
-  }
-
-  ~Fleet() {
-    router->Stop();
-    for (auto& server : servers) server->Stop();
-    for (auto& h : health) h->Stop();
-  }
-
-  std::vector<std::unique_ptr<runtime::SessionManager>> managers;
-  std::vector<std::unique_ptr<NetServer>> servers;
-  std::vector<std::unique_ptr<obs::MetricsServer>> health;
-  std::unique_ptr<Router> router;
-};
 
 TEST(RouterFleetE2E, ServesSessionsBitIdenticalAcrossTwoShards) {
 // Sanitizer builds keep the same shape (2 shards, pooled streams, many
@@ -1418,6 +1454,31 @@ TEST(RouterFleetE2E, OrderlyHangUpIsNotADropButAKilledPeerIs) {
   })) << "the killed peer was not counted as dropped";
   EXPECT_EQ(fleet.router->StatsSnapshot().connections_dropped, 1u);
   EXPECT_EQ(shard_stats().connections_dropped, 1u);
+}
+
+TEST(RouterFleetE2E, AKilledClientReleasesItsShardSessions) {
+  SharedModel model;
+  Fleet fleet(model);
+  std::string error;
+  NetClient client;
+  ASSERT_TRUE(
+      client.Connect("127.0.0.1", fleet.router->port(), 2000, &error))
+      << error;
+  HelloInfo hello;
+  ASSERT_TRUE(client.Hello(&hello, 5000, &error)) << error;
+  ASSERT_TRUE(client.OpenSession(1, 42, 43, 30000, &error)) << error;
+  ASSERT_TRUE(client.OpenSession(2, 44, 45, 30000, &error)) << error;
+  const auto sessions = [&] {
+    std::uint64_t active = 0;
+    for (const auto& status : fleet.router->ShardStatuses()) {
+      active += status.sessions_active;
+    }
+    return active;
+  };
+  EXPECT_EQ(sessions(), 2u);
+  client.Close();
+  EXPECT_TRUE(WaitFor([&] { return sessions() == 0; }))
+      << "nec_router_shard_sessions kept a dead client's sessions";
 }
 
 TEST(RouterFleetE2E, KillingOneShardFaultsOnlyItsSessions) {

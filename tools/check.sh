@@ -26,7 +26,8 @@
 #                                    # through the router while draining one
 #                                    # shard mid-traffic (zero faults
 #                                    # required), prove a bad-secret probe
-#                                    # is rejected and counted, scrape
+#                                    # is rejected and counted by the
+#                                    # router and by a shard, scrape
 #                                    # /metrics from all three daemons
 #   CHECK_FLEET_OBS=1 tools/check.sh # also boot an authed 2-shard fleet +
 #                                    # router with tracing armed, push a
@@ -290,18 +291,24 @@ if [[ "${NET}" == "1" ]]; then
 
   # A probe with the wrong secret must be rejected as its own failure
   # class — auth_rejected, not refused and not a timeout — and counted on
-  # the router's /metrics.
-  "${NECCTL}" loadgen --endpoints "127.0.0.1:${RP}" --secret "wrong-secret" \
-    --sessions 1 --connections 1 --chunks 1 --streams 1 --json \
-    > "${NET_DIR}/badsecret.json" && {
-      echo "bad-secret loadgen unexpectedly succeeded"; exit 1; } || true
-  python3 - "${NET_DIR}/badsecret.json" <<'EOF'
+  # /metrics. The router and the shards run one handshake gate; probe it
+  # on both faces: the router, and shard 2's wire port directly.
+  for face in "router:${RP}" "shard2:${P2}"; do
+    "${NECCTL}" loadgen --endpoints "127.0.0.1:${face#*:}" \
+      --secret "wrong-secret" \
+      --sessions 1 --connections 1 --chunks 1 --streams 1 --json \
+      > "${NET_DIR}/badsecret-${face%%:*}.json" && {
+        echo "bad-secret loadgen at ${face} unexpectedly succeeded"
+        exit 1; } || true
+    python3 - "${NET_DIR}/badsecret-${face%%:*}.json" "${face%%:*}" <<'EOF'
 import json, sys
 r = json.load(open(sys.argv[1]))
 assert r["ok"] is False, r
 assert r["auth_rejected"] is True, f"not flagged as auth rejection: {r}"
-print("net check: bad-secret probe rejected as auth_rejected")
+print(f"net check: bad-secret probe at the {sys.argv[2]} rejected as"
+      " auth_rejected")
 EOF
+  done
 
   # Authenticated loadgen through the router, with a zero-fault draining
   # reshard of shard 1 kicked off mid-traffic: every session must still
@@ -383,6 +390,10 @@ for port in (sys.argv[1], sys.argv[2]):
         assert needle in text, f"shard :{port} missing {needle!r}"
     # The router's upstream dials + status prober authenticate too.
     assert value(text, 'nec_net_auth_ok_total{role="server"}') > 0
+# The bad-secret probe sent straight at shard 2 was counted there.
+shard_rejected = value(scrape(sys.argv[2]),
+                       'nec_net_auth_rejected_total{role="server"}')
+assert shard_rejected > 0, "shard bad-secret probe not counted"
 text = scrape(sys.argv[3])
 for needle in ('nec_net_connections_accepted_total{role="router"}',
                "nec_router_shard_up{shard=",
@@ -397,7 +408,8 @@ up = [l for l in text.splitlines()
       if l.startswith("nec_router_shard_up{") and l.endswith(" 1")]
 assert len(up) == 2, f"expected 2 shards up, got {up}"
 print("net check: /metrics ok on both shards + router"
-      f" (2 shards up, {rejected:.0f} auth rejection(s))")
+      f" (2 shards up, {rejected:.0f} auth rejection(s) at the router,"
+      f" {shard_rejected:.0f} at shard 2)")
 EOF
 
   kill "${SHARD1_PID}" "${SHARD2_PID}" "${ROUTER_PID}" 2>/dev/null || true
